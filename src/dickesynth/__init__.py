@@ -34,12 +34,10 @@ from .lightcone import (
 from .primitives import (
     cqsp_multiplexor,
     fanout_copy,
-    grid_route,
     parity_add,
     toffoli,
 )
 from .synth import (
-    GridPartition,
     SynthesisPlan,
     divide_unitary_ancilla,
     prepare_dicke,

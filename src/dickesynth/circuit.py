@@ -263,16 +263,26 @@ def inverse(c: Circuit) -> Circuit:
     return out
 
 
-def remap_qubits(c: Circuit, perm: dict, num_qubits: int | None = None) -> Circuit:
-    if len(set(perm.values())) != len(perm):
+def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
+    """Relabel qubit q of c as perm[q]. perm is any indexable map (dict,
+    list or range); it is checked once to be injective with images in
+    [0, num_qubits), so the per-gate work is only the lookups."""
+    pairs = list(perm.items() if isinstance(perm, dict) else enumerate(perm))
+    images = [p for _, p in pairs]
+    if len(set(images)) != len(images):
         raise ValueError("qubit map is not injective")
     nq = num_qubits if num_qubits is not None else c.num_qubits
-    out = Circuit(nq, [],
-                  frozenset(perm[q] for q in c.data_qubits),
-                  frozenset(perm[q] for q in c.ancilla_qubits))
-    for g in c.gates:
-        out.append(Gate(g.kind, tuple(perm[q] for q in g.qubits), g.params))
-    return out
+    if images and not (0 <= min(images) and max(images) < nq):
+        raise ValueError("qubit map image out of range")
+    if pairs == [(q, q) for q in range(c.num_qubits)]:
+        gates = list(c.gates)  # identity: gates are immutable, share them
+    else:
+        gates = [Gate(g.kind, (perm[g.qubits[0]],) if len(g.qubits) == 1
+                      else (perm[g.qubits[0]], perm[g.qubits[1]]), g.params)
+                 for g in c.gates]
+    return Circuit(nq, gates,
+                   frozenset(perm[q] for q in c.data_qubits),
+                   frozenset(perm[q] for q in c.ancilla_qubits))
 
 
 # --- text format -----------------------------------------------------------
@@ -298,28 +308,46 @@ def dumps(c: Circuit) -> str:
 
 
 def loads(text: str) -> Circuit:
+    """Parse the text format. Raises ValueError on a malformed line: a
+    wrong operand count, a qubit outside [0, QUBITS), a non-finite U
+    parameter, or a QUBITS header that is missing, repeated or not
+    positive."""
     num_qubits = None
     data: frozenset = frozenset()
     anc: frozenset = frozenset()
     gates = []
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tok = raw.split()
+        if not tok or tok[0].startswith("#"):
             continue
-        tok = line.split()
-        if tok[0] == "QUBITS":
-            num_qubits = int(tok[1])
-        elif tok[0] == "DATA":
-            data = frozenset(int(x) for x in tok[1].split(","))
-        elif tok[0] == "ANCILLA":
-            anc = frozenset(int(x) for x in tok[1].split(","))
-        elif tok[0] == "U":
-            gates.append(Gate("u", (int(tok[1]),), tuple(float(x) for x in tok[2:6])))
-        elif tok[0] == "CX":
+        head = tok[0]
+        if head == "U":
+            if len(tok) != 6:
+                raise ValueError(f"U takes a qubit and 4 parameters: {raw!r}")
+            params = (float(tok[2]), float(tok[3]), float(tok[4]),
+                      float(tok[5]))
+            if not all(map(math.isfinite, params)):
+                raise ValueError(f"non-finite U parameter: {raw!r}")
+            gates.append(Gate("u", (int(tok[1]),), params))
+        elif head == "CX":
+            if len(tok) != 3:
+                raise ValueError(f"CX takes two qubits: {raw!r}")
             gates.append(Gate("cx", (int(tok[1]), int(tok[2]))))
+        elif head == "QUBITS":
+            if num_qubits is not None:
+                raise ValueError("repeated QUBITS header")
+            if len(tok) != 2 or int(tok[1]) < 1:
+                raise ValueError(f"QUBITS needs one positive count: {raw!r}")
+            num_qubits = int(tok[1])
+        elif head == "DATA":
+            data = frozenset(int(x) for x in tok[1].split(","))
+        elif head == "ANCILLA":
+            anc = frozenset(int(x) for x in tok[1].split(","))
         else:
             raise ValueError(f"unrecognized line: {raw!r}")
     if num_qubits is None:
         raise ValueError("missing QUBITS header")
-    c = Circuit(num_qubits, gates, data, anc)
-    return c
+    qubits = [q for g in gates for q in g.qubits]
+    if qubits and (min(qubits) < 0 or max(qubits) >= num_qubits):
+        raise ValueError(f"gate qubit outside [0, {num_qubits})")
+    return Circuit(num_qubits, gates, data, anc)

@@ -19,7 +19,7 @@ import numpy as np
 from .circuit import (ConnectivityGraph, asap_layering, dumps, loads,
                       validate_connectivity)
 from .lightcone import audit_lower_bound
-from .synth import _synthesize, prepare_symmetric
+from .synth import _prepare_symmetric, _synthesize
 from .verify import SIMULATOR_CAP, dicke_reference, fidelity, simulate
 
 
@@ -92,8 +92,7 @@ def cmd_synth(args) -> int:
         alpha = _load_amplitudes(args.symmetric)
         if alpha.shape != (args.k + 1,):
             raise _UsageError(f"expected {args.k + 1} amplitudes")
-        circuit = prepare_symmetric(topology, dims, args.k, alpha)
-        _, plan = _synthesize(topology, dims, args.k)
+        circuit, plan = _prepare_symmetric(topology, dims, args.k, alpha)
     else:
         circuit, plan = _synthesize(topology, dims, args.k)
     text = dumps(circuit)
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lightcone", help="light-cone lower-bound audit")
     p.add_argument("--circuit", required=True)
     p.add_argument("--topology", nargs="+", required=True)
-    p.add_argument("--target-dicke", metavar="N,K")
     p.set_defaults(func=cmd_lightcone)
     return parser
 

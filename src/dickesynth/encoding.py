@@ -54,12 +54,11 @@ def _suffix_scan_cnots(reg: list) -> list:
     return cnots
 
 
-def u_uo(reg, ancilla=(), circuit: Circuit | None = None,
+def u_uo(reg, circuit: Circuit | None = None,
          num_qubits: int | None = None) -> Circuit:
     """Unary -> one-hot: the linear map s_j ^= s_{j+1}, i.e. the inverse of
     the in-place suffix-XOR scan. Realized as the reversed Brent-Kung scan
-    network: depth O(log k) with no ancilla (the ancilla argument is
-    accepted for interface compatibility and not needed)."""
+    network: depth O(log k) with no ancilla."""
     reg = list(reg)
     if circuit is None:
         nq = num_qubits if num_qubits is not None else max(reg, default=-1) + 1
@@ -238,12 +237,7 @@ def _onehot_arith(S, T, W, ancilla, variant: str,
         circuit = Circuit(nq)
     c = circuit
     if k >= 2:
-        groups = wave_schedule(k, variant)
-        if variant == "minus":
-            mapped = [[(si, ti, wi) for si, ti, wi in g] for g in groups]
-            _emit_waves(c, S, T, W, mapped, anc)
-        else:
-            _emit_waves(c, S, T, W, groups, anc)
+        _emit_waves(c, S, T, W, wave_schedule(k, variant), anc)
     # value-zero branches: S = 0 copies T into W; for addition T = 0 must
     # also copy S into W (the pair waves need both values >= 1)
     _guarded_copy(c, S, T, W, ancilla=anc)

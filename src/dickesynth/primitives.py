@@ -1,5 +1,5 @@
-"""Reusable sub-circuits: pattern Toffolis, parity tree, fanout copy,
-grid block routing, and multiplexed-rotation controlled state preparation.
+"""Reusable sub-circuits: pattern Toffolis, parity tree, fanout copy, and
+multiplexed-rotation controlled state preparation.
 """
 
 from __future__ import annotations
@@ -8,25 +8,18 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit, ConnectivityGraph, cx_gate, grid_index, u_gate, x_gate
+from .circuit import Circuit
 
 __all__ = [
     "build_ccx",
     "toffoli",
     "parity_add",
     "fanout_copy",
-    "grid_route",
     "mux_ry",
     "cqsp_multiplexor",
 ]
 
 _T = math.pi / 4  # T-gate phase
-
-
-def _rz(c: Circuit, q: int, phi: float) -> None:
-    # Rz(phi) = diag(e^{-i phi/2}, e^{i phi/2}) up to global phase; the
-    # quadruple (0, 0, phi, -phi/2) realizes it exactly.
-    c.u(q, 0.0, 0.0, phi, -phi / 2.0)
 
 
 def _t(c: Circuit, q: int, sign: float) -> None:
@@ -61,13 +54,11 @@ def build_ccx(c: Circuit, a: int, b: int, t: int) -> None:
 
 def _mcx_no_ancilla(c: Circuit, controls: list, t: int,
                     borrow=None) -> None:
-    """Multi-controlled X using only the qubits already present in c: for
-    three or more controls, borrow idle qubits (from `borrow` if given, else
-    any index outside the gate's support — borrowed qubits may hold
-    arbitrary states and are restored) for the linear-size dirty-ancilla
-    staircase; a single borrowable qubit still gives linear size via the
-    halving split; with no spare wire at all, fall back to the quadratic
-    controlled-root recursion."""
+    """Multi-controlled X using only the qubits already present in c. Three
+    or more controls need m-2 spare wires, taken from `borrow` if given,
+    else from any index outside the gate's support; they may hold arbitrary
+    states and are restored by the linear-size dirty-ancilla staircase.
+    Raises ValueError when fewer than m-2 spare wires are available."""
     m = len(controls)
     if m == 0:
         c.x(t)
@@ -79,36 +70,10 @@ def _mcx_no_ancilla(c: Circuit, controls: list, t: int,
         support = set(controls) | {t}
         pool = borrow if borrow is not None else range(c.num_qubits)
         lent = [q for q in pool if q not in support][:m - 2]
-        if len(lent) == m - 2:
-            _mcx_dirty(c, controls, t, lent)
-        elif lent:
-            _mcx_one_borrow(c, controls, t, lent[0])
-        else:
-            _mcv_chain(c, controls, t, math.pi)
-
-
-def _mcx_one_borrow(c: Circuit, controls: list, t: int, w: int) -> None:
-    """Multi-controlled X with a single borrowed (possibly dirty) qubit w:
-    split the controls in half and alternate the two halves so each piece
-    can borrow the idle half for its staircase; w's toggles cancel and the
-    target picks up exactly AND(controls)."""
-    m = len(controls)
-    h = (m + 1) // 2
-    first, second = controls[:h], controls[h:]
-    for _ in range(2):
-        _mcx_with_borrows(c, second + [w], t, first)
-        _mcx_with_borrows(c, first, w, second + [t])
-
-
-def _mcx_with_borrows(c: Circuit, controls: list, t: int, pool: list) -> None:
-    """Staircase MCX drawing exactly the borrows it needs from pool."""
-    m = len(controls)
-    if m == 1:
-        c.cx(controls[0], t)
-    elif m == 2:
-        build_ccx(c, controls[0], controls[1], t)
-    else:
-        _mcx_dirty(c, controls, t, pool[:m - 2])
+        if len(lent) < m - 2:
+            raise ValueError(f"{m}-control gate needs {m - 2} spare wires, "
+                             f"found {len(lent)}")
+        _mcx_dirty(c, controls, t, lent)
 
 
 def _mcx_dirty(c: Circuit, controls: list, t: int, anc: list) -> None:
@@ -123,60 +88,20 @@ def _mcx_dirty(c: Circuit, controls: list, t: int, anc: list) -> None:
         build_ccx(c, a, b, tt)
 
 
-def _mcv_chain(c: Circuit, controls: list, t: int, angle: float) -> None:
-    """Exact C^m-(X^{angle/pi}) via the textbook controlled-root recursion:
-      C^{m}V = CV^{1/2}(last->t) . C^{m-1}X(rest->last) . CV^{-1/2}(last->t)
-               . C^{m-1}X(rest->last) . C^{m-1}V^{1/2}(rest->t).
-    The inner C^{m-1}X pieces can borrow t, so each level costs O(m) gates
-    and the whole recursion is quadratic; used only when the circuit has no
-    spare wire at all."""
-    m = len(controls)
-    if m == 1:
-        _crx(c, controls[0], t, angle)
-        return
-    last, rest = controls[-1], controls[:-1]
-    _crx(c, last, t, angle / 2.0)
-    _mcx_no_ancilla(c, rest, last)
-    _crx(c, last, t, -angle / 2.0)
-    _mcx_no_ancilla(c, rest, last)
-    _mcv_chain(c, rest, t, angle / 2.0)
-
-
-def _crx(c: Circuit, ctrl: int, t: int, angle: float) -> None:
-    """Controlled RX(angle) with the phase convention making the m=1 base of
-    the C^m-X recursion exact: control=1 applies e^{i angle/2} RX(angle),
-    i.e. the actual X-power so that angle=pi gives a true CNOT."""
-    # e^{i a/2} RX(a) = diag-free matrix [[cos+isin.., ..]]; realize as
-    # phase(a/2 on ctrl) then controlled-RX via two CNOTs and RZ/RY... use
-    # the generic decomposition: CU = (1 x A) CX (1 x B) CX (1 x C) P(ctrl).
-    half = angle / 2.0
-    # U = e^{i half} RX(angle): U = P(half) * RX(angle) as a matrix product
-    # of scalars. Decompose CU with U = e^{i alpha} Rz(b) Ry(g) Rz(d):
-    # RX(a) = Rz(-pi/2) Ry(a) Rz(pi/2), alpha = half.
-    b, g, d = -math.pi / 2.0, angle, math.pi / 2.0
-    # A = Rz(b) Ry(g/2), B = Ry(-g/2) Rz(-(d+b)/2), C = Rz((d-b)/2)
-    _rz(c, t, (d - b) / 2.0)
-    c.cx(ctrl, t)
-    c.u(t, -g / 2.0, 0.0, 0.0, 0.0)
-    _rz(c, t, -(d + b) / 2.0)
-    c.cx(ctrl, t)
-    c.u(t, g / 2.0, 0.0, 0.0, 0.0)
-    _rz(c, t, b)
-    c.phase(ctrl, half)
-
-
 def toffoli(controls, target: int, pattern: str, mode: str = "no_ancilla",
             ancilla=None, num_qubits: int | None = None,
             circuit: Circuit | None = None, borrow=None) -> Circuit:
     """Flip `target` iff the control register equals `pattern`.
 
     pattern[j] is the required value of controls[j]. Zero-controls are
-    conjugated by X. mode 'no_ancilla' needs no extra qubits; 'log_depth'
-    uses a balanced AND-tree over >= len(controls)-1 clean ancilla.
-    `borrow` restricts which (possibly dirty) qubits a >=3-control gate may
-    recruit for the staircase decomposition; without it any idle circuit
-    qubit is fair game, which can create scheduling dependencies on
-    registers the caller wants free to run in parallel.
+    conjugated by X. mode 'no_ancilla' needs no clean ancilla, but m >= 3
+    controls borrow m-2 spare (possibly dirty) wires of the circuit and
+    raise ValueError when it has fewer; 'log_depth' uses a balanced
+    AND-tree over >= len(controls)-1 clean ancilla.
+    `borrow` restricts which qubits a >=3-control gate may recruit for the
+    staircase decomposition; without it any idle circuit qubit is fair
+    game, which can create scheduling dependencies on registers the caller
+    wants free to run in parallel.
     """
     controls = list(controls)
     if len(pattern) != len(controls):
@@ -292,62 +217,6 @@ def fanout_copy(src, dst_blocks, num_qubits: int | None = None,
             new.append(blk)
         have.extend(new)
     return c
-
-
-def grid_route(state_map: dict, g: ConnectivityGraph, n1: int, n2: int) -> Circuit:
-    """Permute basis contents of grid cells: state_map maps source vertex ->
-    destination vertex and must be a permutation of its key set. Disjoint
-    transpositions are routed as parallel L-shaped SWAP conveyors
-    (row move then column move); anything else is serialized per cycle.
-    All SWAPs are grid-legal; depth O(n1 + n2) for disjoint transpositions.
-    """
-    if set(state_map.keys()) != set(state_map.values()):
-        raise ValueError("state_map is not a permutation")
-    c = Circuit(n1 * n2)
-    # decompose into cycles, each cycle into adjacent-cell transposition walks
-    seen = set()
-    for start in sorted(state_map):
-        if start in seen or state_map[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        cur = state_map[start]
-        while cur != start:
-            cycle.append(cur)
-            cur = state_map[cur]
-        seen.update(cycle)
-        # realize the cycle as successive transpositions on the grid:
-        # (v0 v1)(v0 v2)...(v0 v_{m-1}) in gate order sends v_i -> v_{i+1}
-        for i in range(1, len(cycle)):
-            _swap_cells(c, cycle[0], cycle[i], n1)
-    return c
-
-
-def _cell_rc(v: int, n1: int) -> tuple:
-    col = v // n1
-    r = v - col * n1 if col % 2 == 0 else (n1 - 1 - (v - col * n1))
-    return r, col
-
-
-def _swap_cells(c: Circuit, a: int, b: int, n1: int) -> None:
-    """SWAP contents of two grid cells through an L-shaped nearest-neighbor
-    conveyor: walk a to b's column, then down/up to b, then walk back."""
-    ra, ca = _cell_rc(a, n1)
-    rb, cb = _cell_rc(b, n1)
-    path = []
-    cur = (ra, ca)
-    while cur[1] != cb:
-        cur = (cur[0], cur[1] + (1 if cb > cur[1] else -1))
-        path.append(cur)
-    while cur[0] != rb:
-        cur = (cur[0] + (1 if rb > cur[0] else -1), cur[1])
-        path.append(cur)
-    verts = [grid_index(ra, ca, n1)] + [grid_index(r, col, n1) for r, col in path]
-    # bubble a's content to b, then bubble b's (now displaced backward) home
-    for i in range(len(verts) - 1):
-        c.swap(verts[i], verts[i + 1])
-    for i in range(len(verts) - 2, 0, -1):
-        c.swap(verts[i - 1], verts[i])
 
 
 def mux_ry(controls, target: int, angles, circuit: Circuit,

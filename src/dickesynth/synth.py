@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Circuit, ConnectivityGraph, Gate, asap_layering,
-                      grid_index, inverse)
+from .circuit import (Circuit, ConnectivityGraph, asap_layering, grid_index,
+                      inverse, remap_qubits)
 from .encoding import binary_width, u_ob, u_plus, u_uo, u_minus
 from .primitives import cqsp_multiplexor, fanout_copy, toffoli
 from .unary import (DivideSpec, dicke_unitary_path, divide_unitary_path,
@@ -34,7 +34,6 @@ from .unary import (DivideSpec, dicke_unitary_path, divide_unitary_path,
 __all__ = [
     "PlanNode",
     "SynthesisPlan",
-    "GridPartition",
     "divide_unitary_ancilla",
     "synth_alltoall",
     "synth_grid",
@@ -45,36 +44,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanNode:
-    """One divide step of a synthesis recursion."""
+    """One divide step of a synthesis recursion. ``variant`` names the
+    divide that ran: "ancilla" (the encoding pipeline borrowing the node's
+    idle qubits) or "path" (the nearest-neighbor conveyor)."""
 
     layer: int
     n_node: int
     m_node: int
     s1: tuple
     s2: tuple
-    ancilla: tuple
+    variant: str
     depth: int
     size: int
 
     def line(self) -> str:
         return (f"layer={self.layer} n={self.n_node} m={self.m_node} "
                 f"s1={list(self.s1)} s2={list(self.s2)} "
-                f"ancilla={len(self.ancilla)} depth={self.depth} "
+                f"variant={self.variant} depth={self.depth} "
                 f"size={self.size}")
-
-
-@dataclass(frozen=True)
-class GridPartition:
-    """Register-cell geometry of a grid synthesis (n1 rows, n2 columns).
-
-    ``cell_dims`` is the (rows, cols) shape of one count-register slab;
-    ``cells`` maps a cell id to the tuple of its vertices in serpentine
-    order (the count register is the k-cell prefix of that order)."""
-
-    n1: int
-    n2: int
-    cell_dims: tuple
-    cells: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -87,7 +74,6 @@ class SynthesisPlan:
     k: int
     recursion_tree: list = field(default_factory=list)
     tail_units: list = field(default_factory=list)
-    partition: GridPartition | None = None
 
     def report(self) -> str:
         lines = [f"plan topology={self.topology.topology_tag} n={self.n} k={self.k}"]
@@ -96,18 +82,6 @@ class SynthesisPlan:
         for unit in self.tail_units:
             lines.append(f"  tail qubits={list(unit)}")
         return "\n".join(lines) + "\n"
-
-
-def _offset_gates(gates, off: int) -> list:
-    if off == 0:
-        return gates
-    out = []
-    for g in gates:
-        qs = g.qubits
-        shifted = (qs[0] + off,) if len(qs) == 1 else (qs[0] + off,
-                                                       qs[1] + off)
-        out.append(Gate(g.kind, shifted, g.params))
-    return out
 
 
 def _subcircuit_stats(c: Circuit, start: int) -> tuple:
@@ -265,36 +239,40 @@ def synth_alltoall(n: int, k: int) -> tuple:
             # build both divide realizations and keep the shallower: at
             # small and moderate k the conveyor's c*k depth beats the
             # pipeline's state-preparation stage, while the pipeline wins
-            # once enough ancilla make its encoding stages effectively flat
-            cand = [divide_unitary_ancilla(spec, idle, num_qubits=nn)]
-            if len(idle) >= 2 * k:  # otherwise cand[0] already is the conveyor
-                cand.append(divide_unitary_ancilla(spec, (), num_qubits=nn))
-            scored = [(asap_layering(s).depth, s) for s in cand]
-            depth, sub = min(scored, key=lambda t: t[0])
-            divide_cache[nn] = (sub.gates, depth, sub.size)
+            # once enough ancilla make its encoding stages effectively flat.
+            # The ancilla variant comes first so it wins ties.
+            cand = []
+            if len(idle) >= 2 * k:
+                cand.append(("ancilla", divide_unitary_ancilla(
+                    spec, idle, num_qubits=nn)))
+            cand.append(("path", divide_unitary_path(spec)))
+            scored = [(asap_layering(s).depth, name, s) for name, s in cand]
+            divide_cache[nn] = min(scored, key=lambda t: t[0])
         return divide_cache[nn]
 
-    def tail_template(nn: int) -> list:
+    def tail_template(nn: int) -> Circuit:
         if nn not in tail_cache:
-            tail_cache[nn] = dicke_unitary_path(nn, min(k, nn)).gates
+            tail_cache[nn] = dicke_unitary_path(nn, min(k, nn))
         return tail_cache[nn]
+
+    def place(template: Circuit, base: int) -> None:
+        # remap_qubits checks the offset map once, not each gate
+        shift = range(base, base + template.num_qubits)
+        c.gates.extend(remap_qubits(template, shift, n).gates)
 
     def rec(base: int, nn: int, layer: int) -> None:
         if nn <= 2 * k:
-            # template gates were validated once; offsets stay in range
-            c.gates.extend(_offset_gates(tail_template(nn), base))
+            place(tail_template(nn), base)
             plan.tail_units.append(tuple(range(base, base + nn)))
             return
         half = nn // 2            # low half keeps the count (S2 side)
         m = nn - half             # capacity routed to S1
-        gates, depth, size = divide_template(nn)
-        c.gates.extend(_offset_gates(gates, base))
+        depth, variant, sub = divide_template(nn)
+        place(sub, base)
         s2 = tuple(range(base, base + k))
         s1 = tuple(range(base + half, base + half + k))
-        idle = (tuple(range(base + k, base + half))
-                + tuple(range(base + half + k, base + nn)))
-        plan.recursion_tree.append(PlanNode(layer, nn, m, s1, s2, idle,
-                                            depth, size))
+        plan.recursion_tree.append(PlanNode(layer, nn, m, s1, s2, variant,
+                                            depth, sub.size))
         rec(base, half, layer + 1)
         rec(base + half, nn - half, layer + 1)
 
@@ -408,14 +386,12 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
 
     c = Circuit(n)
     w = math.ceil(k / n1)
-    plan.partition = GridPartition(n1, n2, (n1, w))
 
     def tail(c0: int, width: int) -> None:
         snake = _slab_serpentine(c0, width, n1)
         c.extend(dicke_unitary_path(len(snake), min(k, len(snake)),
                                     snake).gates)
         plan.tail_units.append(tuple(snake))
-        plan.partition.cells[len(plan.partition.cells)] = tuple(snake[:k])
 
     def divide_step(c0: int, c1: int, cmid: int, layer: int) -> None:
         """Divide the count of region [c0,c1) between [c0,cmid) and
@@ -430,7 +406,7 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         depth, size = _subcircuit_stats(c, start)
         plan.recursion_tree.append(PlanNode(layer, n1 * (c1 - c0),
                                             n1 * (c1 - cmid), tuple(s1),
-                                            tuple(s2), (), depth, size))
+                                            tuple(s2), "path", depth, size))
 
     if k * n1 >= n2:
         # tall case: balanced bisection over column intervals
@@ -484,15 +460,20 @@ def prepare_dicke(topology: str, dims, k: int) -> Circuit:
     return c
 
 
+def _prepare_symmetric(topology: str, dims, k: int, amplitudes) -> tuple:
+    """prepare_symmetric's circuit together with the synthesis plan."""
+    alpha = np.asarray(amplitudes, dtype=complex)
+    if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
+        raise ValueError("non-normalized amplitudes")
+    unitary, plan = _synthesize(topology, dims, k)
+    c = Circuit(unitary.num_qubits)
+    c.extend(unary_amplitude_prep(k, alpha).gates)
+    c.extend(unitary.gates)
+    return c, plan
+
+
 def prepare_symmetric(topology: str, dims, k: int, amplitudes) -> Circuit:
     """Circuit preparing the symmetric state sum_l alpha_l |D^n_l> from
     |0^n>: amplitude loading on the k input qubits (adjacent rotation
     chain), then the topology's Dicke unitary."""
-    alpha = np.asarray(amplitudes, dtype=complex)
-    if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
-        raise ValueError("non-normalized amplitudes")
-    unitary, _ = _synthesize(topology, dims, k)
-    c = Circuit(unitary.num_qubits)
-    c.extend(unary_amplitude_prep(k, alpha).gates)
-    c.extend(unitary.gates)
-    return c
+    return _prepare_symmetric(topology, dims, k, amplitudes)[0]

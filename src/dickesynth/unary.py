@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, remap_qubits
 from .primitives import mux_ry
 
 __all__ = [
@@ -115,7 +115,7 @@ def dicke_unitary_path(n: int, k: int, qubits=None) -> Circuit:
         raise ValueError("qubit list length mismatch")
     c = _PathCircuit(len(qubits))
     if n < 2 or k == 0:
-        return _relabel(c, qubits)
+        return remap_qubits(c, qubits, max(qubits, default=-1) + 1)
     # sweep j acts on the top j qubits: it splits off the lowest of them
     # (amplitude sqrt(l/j) keeps the one there, sqrt((j-l)/j) shifts the
     # block up one), then the next sweep recurses on the remaining j-1
@@ -126,16 +126,7 @@ def dicke_unitary_path(n: int, k: int, qubits=None) -> Circuit:
             theta = math.acos(math.sqrt((a + 1) / j))
             far = base + a + 2 if a + 2 <= j - 1 else None
             _givens_block(c, base + a + 1, base + a, far, theta)
-    return _relabel(c, qubits)
-
-
-def _relabel(c: Circuit, qubits: list) -> Circuit:
-    """Map path positions 0..len-1 to actual qubit indices."""
-    out = Circuit(max(qubits) + 1 if qubits else 0)
-    from .circuit import Gate
-    for g in c.gates:
-        out.append(Gate(g.kind, tuple(qubits[q] for q in g.qubits), g.params))
-    return out
+    return remap_qubits(c, qubits, max(qubits, default=-1) + 1)
 
 
 def divide_unitary_path(spec: DivideSpec) -> Circuit:
@@ -182,7 +173,7 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
     for a, b in reversed(swaps_forward):
         c.swap(a, b)
     qubits = list(spec.right) + list(spec.left)
-    return _relabel(c, qubits)
+    return remap_qubits(c, qubits, max(qubits) + 1)
 
 
 def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
@@ -263,4 +254,4 @@ def unary_amplitude_prep(k: int, amplitudes, qubits=None) -> Circuit:
     g0 = float(np.angle(alpha[0]))
     if g0 != 0.0:
         c.u(0, 0.0, 0.0, 0.0, g0)  # global phase
-    return _relabel(c, qubits)
+    return remap_qubits(c, qubits, max(qubits, default=-1) + 1)

@@ -134,8 +134,13 @@ def test_remap_qubits():
     c.cx(0, 1)
     out = remap_qubits(c, {0: 2, 1: 5}, num_qubits=6)
     assert out.gates == [cx_gate(2, 5)]
+    assert remap_qubits(c, [3, 1], num_qubits=4).gates == [cx_gate(3, 1)]
+    assert remap_qubits(c, range(4, 6), num_qubits=6).gates == [cx_gate(4, 5)]
+    assert remap_qubits(c, {0: 1, 1: 0}).gates == [cx_gate(1, 0)]
     with pytest.raises(ValueError):
         remap_qubits(c, {0: 1, 1: 1})
+    with pytest.raises(ValueError):
+        remap_qubits(c, range(1, 3))  # image 2 outside a 2-qubit circuit
 
 
 def test_gate_invariants():
@@ -165,3 +170,7 @@ def test_loads_rejects_garbage():
         loads("QUBITS 2\nBOGUS 1 2\n")
     with pytest.raises(ValueError):
         loads("CX 0 1\n")  # missing header
+    with pytest.raises(ValueError):
+        loads("QUBITS 0\n")
+    with pytest.raises(ValueError):
+        loads("QUBITS 2\nQUBITS 2\nCX 0 1\n")

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dickesynth import cli as cli_module
+from dickesynth import synth as synth_module
 from dickesynth.circuit import loads
 from dickesynth.cli import main
 from dickesynth.verify import dicke_reference, fidelity, simulate
@@ -40,13 +42,23 @@ def test_synth_rejects_contradictory_n():
                 "--k", "1"]) == 2
 
 
-def test_synth_symmetric(tmp_path):
+def test_synth_symmetric(tmp_path, monkeypatch):
+    calls = []
+    real = synth_module._synthesize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(synth_module, "_synthesize", counting)
+    monkeypatch.setattr(cli_module, "_synthesize", counting)
     amp = tmp_path / "alpha.txt"
     a = 1 / math.sqrt(3)
     amp.write_text(f"{a} 0\n{a} 0\n{a} 0\n")
     out = tmp_path / "s.qc"
     assert run(["synth", "--topology", "complete", "--n", "6", "--k", "2",
                 "--symmetric", str(amp), "--out", str(out)]) == 0
+    assert len(calls) == 1  # circuit and plan come from one synthesis
     circuit = loads(out.read_text())
     state = simulate(circuit, 0)
     target = sum(a * dicke_reference(6, ell) for ell in range(3))
@@ -189,6 +201,17 @@ def test_lightcone_fails_on_trivial_circuit(tmp_path, capsys):
     assert run(["lightcone", "--circuit", str(f), "--topology",
                 "complete"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["CX -1 0", "CX 0 7", "CX 0", "U 0 1.0",
+                                  "U 5 0 0 0 0", "U 0 nan 0 0 0",
+                                  "QUBITS 2"])
+@pytest.mark.parametrize("command", [["verify", "--n", "2", "--k", "1"],
+                                     ["lightcone", "--topology", "complete"]])
+def test_malformed_circuit_is_usage_error(tmp_path, line, command):
+    f = tmp_path / "bad.qc"
+    f.write_text(f"QUBITS 2\n{line}\n")
+    assert run(command + ["--circuit", str(f)]) == 2
 
 
 def test_lightcone_unknown_topology(tmp_path):

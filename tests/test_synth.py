@@ -1,14 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from dickesynth.circuit import (ConnectivityGraph, asap_layering,
+from dickesynth.circuit import (ConnectivityGraph, asap_layering, dumps,
                                 validate_connectivity)
 from dickesynth.synth import (SynthesisPlan, divide_unitary_ancilla,
                               prepare_dicke, prepare_symmetric,
                               synth_alltoall, synth_grid)
-from dickesynth.unary import DivideSpec, divide_unitary_path, hyper_weights
+from dickesynth.unary import (DivideSpec, dicke_unitary_path,
+                              divide_unitary_path, hyper_weights)
 from dickesynth.verify import dicke_reference, fidelity, simulate
 
 
@@ -104,6 +106,20 @@ def test_alltoall_plan_structure():
         assert len(nodes) <= 2 ** (layer - 1)
     assert all(len(unit) <= 2 * k for unit in plan.tail_units)
     assert "plan topology=complete" in plan.report()
+
+
+def test_plan_records_divide_variant_that_ran():
+    _, plan = synth_alltoall(1024, 8)
+    assert {node.variant for node in plan.recursion_tree} == {"ancilla"}
+    # blocks where the conveyor is shallower than the encoding pipeline
+    for n, k, block in [(512, 16, 64), (64, 4, 16)]:
+        _, plan = synth_alltoall(n, k)
+        nodes = [p for p in plan.recursion_tree if p.n_node == block]
+        assert nodes and all(p.variant == "path" for p in nodes)
+        assert "variant=path" in plan.report()
+    _, plan = synth_grid(4, 8, 2)
+    assert plan.recursion_tree
+    assert all(p.variant == "path" for p in plan.recursion_tree)
 
 
 def test_alltoall_large_k_delegates_to_ladder():
@@ -225,3 +241,47 @@ def test_prepare_symmetric_three_term():
 def test_prepare_symmetric_rejects_unnormalized():
     with pytest.raises(ValueError):
         prepare_symmetric("complete", 6, 2, [1.0, 1.0, 0.0])
+
+
+# --- byte-identical output ----------------------------------------------------
+
+# sha256 of dumps() for fixed cases; a change that keeps the algorithms must
+# keep these digests
+DUMPS_SHA256 = {
+    "synth_alltoall(16,2)": (
+        lambda: synth_alltoall(16, 2)[0],
+        "fbc71adce11a4f067ce7cb73ceb31014a44b448904559bf34b6d4daf7de78d01"),
+    "synth_alltoall(64,4)": (
+        lambda: synth_alltoall(64, 4)[0],
+        "7a743ddfeeeaa9ed12afa93c4e3d5f1f5da09d2cc83b6e5c7e4afc4235bb9bde"),
+    "synth_alltoall(256,8)": (
+        lambda: synth_alltoall(256, 8)[0],
+        "d034873664f715ab671c008450a86de280be2bdce88a3d072fa04b1b77509fcb"),
+    "synth_alltoall(128,16)": (
+        lambda: synth_alltoall(128, 16)[0],
+        "1b881f825f0350ddd00e5f94a01458bc78baaf2e8d367be35243a0afc3bf9afa"),
+    "synth_grid(4,4,2)": (
+        lambda: synth_grid(4, 4, 2)[0],
+        "d714f003770cd9b16b5a4217c8cebb8a7e5fd968daeed85c1a4a4bec7a8bdf49"),
+    "synth_grid(8,16,4)": (
+        lambda: synth_grid(8, 16, 4)[0],
+        "07e8177672dfded0bc39073e9771a24f0942b3aa6e37c58f4a6d4ba5aea4b7e0"),
+    "synth_grid(2,32,1)": (
+        lambda: synth_grid(2, 32, 1)[0],
+        "cdcf08a57b5ec51bada2d4b00cd32616a3e33639cdb87cc43d67f01dba46aa56"),
+    "dicke_unitary_path(64,4)": (
+        lambda: dicke_unitary_path(64, 4),
+        "4341dada7e8f8f4eab9aae25360b3a412150e9aa9e41c5b3a4632d4d7a49bb5f"),
+    "prepare_symmetric(complete,8,3)": (
+        lambda: prepare_symmetric("complete", 8, 3, [0.5] * 4),
+        "7a727d84a4a91cc9b28353daf4732f4335a6ec9d299867c4e2e63fe2fa036660"),
+    "prepare_dicke(grid,(2,4),2)": (
+        lambda: prepare_dicke("grid", (2, 4), 2),
+        "ecae1208ef65af5d2e716bfe238712b8d86d1e3259d9a0a555f40f1c4f303611"),
+}
+
+
+@pytest.mark.parametrize("case", list(DUMPS_SHA256))
+def test_dumps_byte_identical(case):
+    build, digest = DUMPS_SHA256[case]
+    assert hashlib.sha256(dumps(build()).encode()).hexdigest() == digest
