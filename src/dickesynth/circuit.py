@@ -107,21 +107,10 @@ def _inverse_gate(g: Gate) -> Gate:
 
 @dataclass
 class Circuit:
-    """Ordered gate list over num_qubits qubits, with a declared register split."""
+    """Ordered gate list over num_qubits qubits."""
 
     num_qubits: int
     gates: list = field(default_factory=list)
-    data_qubits: frozenset = frozenset()
-    ancilla_qubits: frozenset = frozenset()
-
-    def __post_init__(self):
-        self.data_qubits = frozenset(self.data_qubits)
-        self.ancilla_qubits = frozenset(self.ancilla_qubits)
-        if self.data_qubits & self.ancilla_qubits:
-            raise ValueError("data and ancilla registers overlap")
-        for q in self.data_qubits | self.ancilla_qubits:
-            if not (0 <= q < self.num_qubits):
-                raise ValueError("register index out of range")
 
     def append(self, gate: Gate) -> None:
         for q in gate.qubits:
@@ -249,18 +238,11 @@ def validate_connectivity(c: Circuit, g: ConnectivityGraph) -> list:
 def compose(a: Circuit, b: Circuit) -> Circuit:
     if a.num_qubits != b.num_qubits:
         raise ValueError("incompatible qubit counts")
-    out = Circuit(a.num_qubits, list(a.gates),
-                  a.data_qubits | b.data_qubits,
-                  (a.ancilla_qubits | b.ancilla_qubits)
-                  - (a.data_qubits | b.data_qubits))
-    out.gates.extend(b.gates)
-    return out
+    return Circuit(a.num_qubits, [*a.gates, *b.gates])
 
 
 def inverse(c: Circuit) -> Circuit:
-    out = Circuit(c.num_qubits, [], c.data_qubits, c.ancilla_qubits)
-    out.gates = [_inverse_gate(g) for g in reversed(c.gates)]
-    return out
+    return Circuit(c.num_qubits, [_inverse_gate(g) for g in reversed(c.gates)])
 
 
 def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
@@ -280,13 +262,11 @@ def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
         gates = [Gate(g.kind, (perm[g.qubits[0]],) if len(g.qubits) == 1
                       else (perm[g.qubits[0]], perm[g.qubits[1]]), g.params)
                  for g in c.gates]
-    return Circuit(nq, gates,
-                   frozenset(perm[q] for q in c.data_qubits),
-                   frozenset(perm[q] for q in c.ancilla_qubits))
+    return Circuit(nq, gates)
 
 
 # --- text format -----------------------------------------------------------
-# Header lines QUBITS / DATA / ANCILLA, then one gate per line:
+# Header line QUBITS n, then one gate per line:
 #   U q theta phi lam gamma
 #   CX c t
 # Floats use 17 significant digits so the round trip is bit-exact.
@@ -294,10 +274,6 @@ def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
 
 def dumps(c: Circuit) -> str:
     lines = [f"QUBITS {c.num_qubits}"]
-    if c.data_qubits:
-        lines.append("DATA " + ",".join(str(q) for q in sorted(c.data_qubits)))
-    if c.ancilla_qubits:
-        lines.append("ANCILLA " + ",".join(str(q) for q in sorted(c.ancilla_qubits)))
     for g in c.gates:
         if g.kind == "cx":
             lines.append(f"CX {g.qubits[0]} {g.qubits[1]}")
@@ -313,8 +289,6 @@ def loads(text: str) -> Circuit:
     parameter, or a QUBITS header that is missing, repeated or not
     positive."""
     num_qubits = None
-    data: frozenset = frozenset()
-    anc: frozenset = frozenset()
     gates = []
     for raw in text.splitlines():
         tok = raw.split()
@@ -339,10 +313,6 @@ def loads(text: str) -> Circuit:
             if len(tok) != 2 or int(tok[1]) < 1:
                 raise ValueError(f"QUBITS needs one positive count: {raw!r}")
             num_qubits = int(tok[1])
-        elif head == "DATA":
-            data = frozenset(int(x) for x in tok[1].split(","))
-        elif head == "ANCILLA":
-            anc = frozenset(int(x) for x in tok[1].split(","))
         else:
             raise ValueError(f"unrecognized line: {raw!r}")
     if num_qubits is None:
@@ -350,4 +320,4 @@ def loads(text: str) -> Circuit:
     qubits = [q for g in gates for q in g.qubits]
     if qubits and (min(qubits) < 0 or max(qubits) >= num_qubits):
         raise ValueError(f"gate qubit outside [0, {num_qubits})")
-    return Circuit(num_qubits, gates, data, anc)
+    return Circuit(num_qubits, gates)

@@ -117,6 +117,8 @@ def cmd_verify(args) -> int:
     n, k = args.n, args.k
     if circuit.num_qubits != n:
         raise _UsageError(f"circuit has {circuit.num_qubits} qubits, --n {n}")
+    if not 0 <= k <= n:
+        raise _UsageError(f"require 0 <= k <= n (n={n}, k={k})")
     if n > SIMULATOR_CAP:
         raise _UsageError(f"n={n} exceeds simulator cap {SIMULATOR_CAP}")
     ells = range(k + 1) if args.all_ell else [k]

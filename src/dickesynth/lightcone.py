@@ -12,8 +12,9 @@ from how fast cones can grow under the connectivity graph.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .circuit import Circuit, ConnectivityGraph, asap_layering
 
@@ -50,17 +51,19 @@ class LightConeGraph:
 
 @dataclass(frozen=True)
 class ReachableSets:
-    """Per-column reachable subsets of one output qubit.
+    """Per-column sizes of one output qubit's backward light cone.
 
-    ``sets[i]`` is S'_{i+1} (vertices reachable from the origin at column
-    d+1 and touched by a gate in layer L_{i+1}); ``cones[i]`` is the full
-    reachable vertex set at column i+1 regardless of gate activity.
-    Index 0 corresponds to column 1.
+    ``sizes[i]`` is |S'_{i+1}|: the vertices reachable from the origin at
+    column d+1 and touched by a gate in layer L_{i+1}. ``cone_sizes[i]``
+    is the size of the full reachable set at column i+1, regardless of
+    gate activity. Index 0 corresponds to column 1, whose full reachable
+    set is ``first_cone``.
     """
 
     origin: int
-    sets: tuple
-    cones: tuple
+    sizes: tuple
+    cone_sizes: tuple
+    first_cone: frozenset
 
 
 def build_lightcone(c: Circuit) -> LightConeGraph:
@@ -111,33 +114,27 @@ def reachable(g: LightConeGraph, origin: int) -> ReachableSets:
         raise ValueError("origin out of range")
     d = g.depth
     cone = {origin}
-    cones = [None] * (d + 1)
-    sets = [None] * (d + 1)
-    cones[d] = frozenset(cone)
-    sets[d] = frozenset(cone)
+    sizes = [1] * (d + 1)
+    cone_sizes = [1] * (d + 1)
     for i in range(d, 0, -1):      # crossing layer L_i: column i+1 -> i
         for a, b in g.cnot_pairs[i - 1]:
             if a in cone or b in cone:
                 cone.add(a)
                 cone.add(b)
-        cones[i - 1] = frozenset(cone)
-        sets[i - 1] = frozenset(q for q in cone if q in g.touched[i - 1])
-    return ReachableSets(origin=origin, sets=tuple(sets), cones=tuple(cones))
+        cone_sizes[i - 1] = len(cone)
+        sizes[i - 1] = len(cone & g.touched[i - 1])
+    return ReachableSets(origin=origin, sizes=tuple(sizes),
+                         cone_sizes=tuple(cone_sizes),
+                         first_cone=frozenset(cone))
 
 
-def _adjacency(topology: ConnectivityGraph) -> list:
-    n = topology.num_vertices
-    if topology.topology_tag == "complete":
-        return [[w for w in range(n) if w != v] for v in range(n)]
-    adj = [[] for _ in range(n)]
+def _bfs_levels(topology: ConnectivityGraph, start: int) -> list:
+    """Graph distance from ``start`` to every vertex (-1: unreachable)."""
+    adj = [[] for _ in range(topology.num_vertices)]
     for e in topology.edges:
         a, b = tuple(e)
         adj[a].append(b)
         adj[b].append(a)
-    return adj
-
-
-def _bfs_levels(adj, start: int) -> list:
     dist = [-1] * len(adj)
     dist[start] = 0
     dq = deque([start])
@@ -148,6 +145,12 @@ def _bfs_levels(adj, start: int) -> list:
                 dist[w] = dist[v] + 1
                 dq.append(w)
     return dist
+
+
+def _ball_sizes(dist: list) -> list:
+    """Entry s: how many vertices lie within s steps of the BFS origin."""
+    counts = Counter(dist)
+    return list(accumulate(counts[s] for s in range(max(dist) + 1)))
 
 
 @dataclass
@@ -200,42 +203,33 @@ def audit_lower_bound(c: Circuit, topology: ConnectivityGraph) -> AuditReport:
     g = build_lightcone(c)
     d = g.depth
     n = g.num_qubits
-    adj = _adjacency(topology)
-
-    # extremal pair by double BFS (exact on grids and paths)
-    dist0 = _bfs_levels(adj, 0)
-    far = max(range(n), key=lambda v: dist0[v])
-    dist_far = _bfs_levels(adj, far)
-    other = max(range(n), key=lambda v: dist_far[v])
-    diameter = dist_far[other]
-    origins = (far, other)
-
-    complete = topology.topology_tag == "complete"
-    cone_sizes = {}
-    growth_ok = True
-    reach = {}
-    for origin in origins:
-        r = reachable(g, origin)
-        reach[origin] = r
-        sizes = tuple(len(s) for s in r.sets)
-        cone_sizes[origin] = sizes
-        dist = _bfs_levels(adj, origin)
-        for col in range(1, d + 2):    # column index i, sets[col-1]
-            steps = d - col + 1        # layers crossed from column d+1
-            if complete:
-                cap = 1 << min(steps + 1, max(n.bit_length(), 1))
-                cap = min(cap, n)
-            else:
-                cap = sum(1 for v in range(n) if 0 <= dist[v] <= steps)
-            if len(r.sets[col - 1]) > cap:
-                growth_ok = False
-
-    cones_intersect = bool(reach[origins[0]].cones[0]
-                           & reach[origins[1]].cones[0])
-    if complete:
+    # caps[origin][s]: most vertices a cone can hold s layers back from the
+    # output; past its last entry the cap stays at that entry
+    if topology.topology_tag == "complete":
+        # every vertex is one step from every other, so the double BFS
+        # below would pick qubits 1 and 0 and a diameter of 1
+        origins = (1, 0) if n > 1 else (0, 0)
+        cap = [min(2 << s, n) for s in range(max(n.bit_length(), 1))]
+        caps = {origin: cap for origin in origins}
         floor = max(1, math.ceil(math.log2(n)) - 1) if n > 1 else 0
     else:
-        floor = math.ceil(diameter / 2)
+        # extremal pair by double BFS (exact on grids and paths)
+        dist0 = _bfs_levels(topology, 0)
+        far = max(range(n), key=lambda v: dist0[v])
+        dist_far = _bfs_levels(topology, far)
+        other = max(range(n), key=lambda v: dist_far[v])
+        origins = (far, other)
+        caps = {far: _ball_sizes(dist_far),
+                other: _ball_sizes(_bfs_levels(topology, other))}
+        floor = math.ceil(dist_far[other] / 2)
+
+    reach = {origin: reachable(g, origin) for origin in origins}
+    # sizes[i] sits d - i layers back from column d+1
+    growth_ok = all(size <= caps[o][min(d - i, len(caps[o]) - 1)]
+                    for o, r in reach.items()
+                    for i, size in enumerate(r.sizes))
+    cones_intersect = bool(reach[origins[0]].first_cone
+                           & reach[origins[1]].first_cone)
     depth_ok = g.depth >= floor
     return AuditReport(
         topology_tag=topology.topology_tag,
@@ -243,7 +237,7 @@ def audit_lower_bound(c: Circuit, topology: ConnectivityGraph) -> AuditReport:
         raw_depth=g.raw_depth,
         normalized_depth=d,
         origins=origins,
-        cone_sizes=cone_sizes,
+        cone_sizes={o: r.sizes for o, r in reach.items()},
         cones_intersect=cones_intersect,
         growth_ok=growth_ok,
         floor=floor,

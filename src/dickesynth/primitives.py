@@ -219,8 +219,7 @@ def fanout_copy(src, dst_blocks, num_qubits: int | None = None,
     return c
 
 
-def mux_ry(controls, target: int, angles, circuit: Circuit,
-           adjacent_only: bool = False) -> None:
+def mux_ry(controls, target: int, angles, circuit: Circuit) -> None:
     """Uniformly controlled Ry: apply Ry(angles[x]) to target when the
     control register holds basis value x (controls[0] = least significant).
     Standard gray-code multiplexor: 2^c rotations and 2^c CNOTs.

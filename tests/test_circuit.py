@@ -152,15 +152,13 @@ def test_gate_invariants():
 
 
 def test_text_format_roundtrip_bit_exact():
-    c = Circuit(3, data_qubits={0, 1}, ancilla_qubits={2})
+    c = Circuit(3)
     c.u(0, 0.1234567890123456789, -2.5, math.pi, 1e-17)
     c.cx(0, 2)
     c.x(1)
     text = dumps(c)
     back = loads(text)
     assert back.num_qubits == 3
-    assert back.data_qubits == frozenset({0, 1})
-    assert back.ancilla_qubits == frozenset({2})
     assert back.gates == c.gates
     assert dumps(back) == text
 

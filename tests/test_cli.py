@@ -133,6 +133,15 @@ def test_verify_vacuous_tolerance(tmp_path):
                 "--tol", "2"]) == 0
 
 
+@pytest.mark.parametrize("k_args", [["--k", "5"], ["--k", "-1"],
+                                    ["--k", "-1", "--all-ell"]])
+def test_verify_k_out_of_range_is_usage_error(tmp_path, capsys, k_args):
+    f = tmp_path / "c.qc"
+    f.write_text("QUBITS 4\nCX 0 1\n")
+    assert run(["verify", "--circuit", str(f), "--n", "4"] + k_args) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_missing_file():
     assert run(["verify", "--circuit", "/nonexistent.qc", "--n", "4",
                 "--k", "1"]) == 2
@@ -196,7 +205,7 @@ def test_lightcone_pass_on_synth_output(tmp_path, capsys):
 
 def test_lightcone_fails_on_trivial_circuit(tmp_path, capsys):
     f = tmp_path / "idle.qc"
-    f.write_text("QUBITS 4\nDATA 0 1 2 3\nU 0 "
+    f.write_text("QUBITS 4\nU 0 "
                  "0.10000000000000000 0.0 0.0 0.0\n")
     assert run(["lightcone", "--circuit", str(f), "--topology",
                 "complete"]) == 3
@@ -205,7 +214,7 @@ def test_lightcone_fails_on_trivial_circuit(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["CX -1 0", "CX 0 7", "CX 0", "U 0 1.0",
                                   "U 5 0 0 0 0", "U 0 nan 0 0 0",
-                                  "QUBITS 2"])
+                                  "QUBITS 2", "DATA 0 1", "ANCILLA 1"])
 @pytest.mark.parametrize("command", [["verify", "--n", "2", "--k", "1"],
                                      ["lightcone", "--topology", "complete"]])
 def test_malformed_circuit_is_usage_error(tmp_path, line, command):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -18,7 +19,9 @@ def test_single_qubit_circuit_cone_stays_put():
     g = build_lightcone(c)
     for origin in range(3):
         r = reachable(g, origin)
-        assert all(cone == {origin} for cone in r.cones)
+        # cones only grow toward column 1, so the column-1 cone bounds all
+        assert r.first_cone == {origin}
+        assert r.cone_sizes == (1,) * (g.depth + 1)
 
 
 def test_single_cnot_four_edge_rule():
@@ -27,8 +30,9 @@ def test_single_cnot_four_edge_rule():
     g = build_lightcone(c)
     r = reachable(g, 0)
     # crossing the CNOT layer pulls both endpoints into the cone
-    assert r.cones[0] == {0, 1}
-    assert r.sets[0] == {0, 1}
+    assert r.first_cone == {0, 1}
+    assert r.cone_sizes == (2, 1)
+    assert r.sizes == (2, 1)
 
 
 def test_normalization_alternates_layers():
@@ -48,7 +52,10 @@ def test_idle_wire_cone_never_shrinks():
     c.u(0, 0.5)
     g = build_lightcone(c)
     r = reachable(g, 2)
-    assert all(2 in cone for cone in r.cones)
+    assert r.first_cone == {2}
+    assert r.cone_sizes == (1,) * (g.depth + 1)
+    # qubit 2 is touched by no gate, so it is in no S'_i below column d+1
+    assert r.sizes == (0,) * g.depth + (1,)
 
 
 def test_reachable_rejects_bad_origin():
@@ -65,7 +72,7 @@ def test_alltoall_cone_doubling(n, k):
         r = reachable(g, origin)
         # the backward cone grows toward earlier columns and at most doubles
         # per layer (each CNOT replaces one reachable endpoint with two)
-        sizes = [len(cone) for cone in r.cones]
+        sizes = r.cone_sizes
         for i in range(len(sizes) - 1):
             assert sizes[i + 1] <= sizes[i] <= 2 * sizes[i + 1]
 
@@ -123,3 +130,54 @@ def test_audit_report_lists_cone_sizes():
     txt = report.text()
     for origin in report.origins:
         assert f"origin {origin} " in txt
+
+
+def test_audit_flags_broken_growth_cap():
+    # S' sizes 4 2 1 on a path: two layers back from the output a cone holds
+    # at most three vertices, so column 1 breaks the distance-ball cap
+    c = Circuit(8)
+    c.cx(7, 3)
+    c.cx(0, 4)
+    c.cx(7, 0)
+    report = audit_lower_bound(c, ConnectivityGraph.path(8))
+    assert report.origins == (7, 0)
+    assert report.cone_sizes == {7: (4, 2, 1), 0: (4, 2, 1)}
+    assert not report.growth_ok
+    assert not report.passed
+    assert "cone growth caps: VIOLATED" in report.text()
+
+
+def _hadamards(n):
+    c = Circuit(n)
+    for q in range(n):
+        c.u(q, 1.5707963267948966, 0.0, 3.141592653589793)
+    return c
+
+
+# sha256 of the audit text: any rewrite of the audit must keep the report
+# byte for byte
+AUDIT_DIGESTS = [
+    (lambda: prepare_dicke("complete", 64, 4), ConnectivityGraph.complete(64),
+     "936fbffb95cee23bc4f234636e647a1c40842a820a9a99c45d059b5e54815dcd"),
+    (lambda: prepare_dicke("complete", 2, 1), ConnectivityGraph.complete(2),
+     "219fc40ba184a3ee3a684a39f25d770c121f64dad3e63d336d4d7b1d41cc2bc7"),
+    (lambda: Circuit(1), ConnectivityGraph.complete(1),
+     "80453a3e298dafc95c46c065516cd9cb47abe01a43f4a0c3ea58da4336064f58"),
+    (lambda: prepare_dicke("grid", (8, 8), 4), ConnectivityGraph.grid(8, 8),
+     "df00d55b5de7eff4844043299ccb30b49147713ba9f83872c7f4cd9ba5fc5b16"),
+    (lambda: prepare_dicke("grid", (2, 16), 1), ConnectivityGraph.grid(2, 16),
+     "f53e957382112a39ab799d126d5d9a2f96903acf291bffd0c8665281a51dd753"),
+    (lambda: prepare_dicke("path", 16, 2), ConnectivityGraph.path(16),
+     "8be09e6d44c46a5657ac2322137b56b0ba21eaaa5cf2a1ee58fc9118996068f8"),
+    (lambda: _hadamards(16), ConnectivityGraph.complete(16),
+     "d27ef54b92a8c254084b13a340ad6cd43996ad5bcf3cf9615084fe3bc563acb6"),
+]
+
+
+@pytest.mark.parametrize("make,topology,digest", AUDIT_DIGESTS,
+                         ids=["complete-64-4", "complete-2-1", "complete-1",
+                              "grid-8x8-4", "grid-2x16-1", "path-16-2",
+                              "hadamards-16"])
+def test_audit_text_pinned(make, topology, digest):
+    text = audit_lower_bound(make(), topology).text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
