@@ -60,15 +60,22 @@ def _connectivity(topology, dims, n):
 def _load_amplitudes(path):
     """One complex per line as `re im`; normalized within 1e-9."""
     values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise _UsageError(f"bad amplitude line {line!r}")
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as e:
+        raise _UsageError(f"cannot read amplitude file: {e}") from e
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise _UsageError(f"bad amplitude line {line!r}")
+        try:
             values.append(complex(float(parts[0]), float(parts[1])))
+        except ValueError as e:
+            raise _UsageError(f"bad amplitude line {line!r}") from e
     alpha = np.asarray(values, dtype=complex)
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise _UsageError("amplitude file is not normalized")
@@ -121,6 +128,9 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"require 0 <= k <= n (n={n}, k={k})")
     if n > SIMULATOR_CAP:
         raise _UsageError(f"n={n} exceeds simulator cap {SIMULATOR_CAP}")
+    # NaN fails the comparison too
+    if not 0.0 <= args.tol < 1.0:
+        raise _UsageError(f"--tol must be in [0, 1), got {args.tol}")
     ells = range(k + 1) if args.all_ell else [k]
     ok = True
     for ell in ells:
@@ -137,7 +147,10 @@ def _parse_range(text):
     if not text:
         return []
     if ".." in text:
-        lo, hi = (int(t) for t in text.split(".."))
+        try:
+            lo, hi = (int(t) for t in text.split(".."))
+        except ValueError as e:
+            raise _UsageError(f"bad range {text!r}") from e
         if lo < 1 or hi < lo:
             raise _UsageError(f"bad range {text!r}")
         out = []
@@ -220,9 +233,10 @@ def cmd_lightcone(args) -> int:
         raise _UsageError(f"cannot read circuit: {e}") from e
     topology, dims = _parse_topology(args.topology)
     graph = _connectivity(topology, dims, circuit.num_qubits)
-    if graph.num_vertices != circuit.num_qubits:
-        raise _UsageError("topology size does not match circuit")
-    report = audit_lower_bound(circuit, graph)
+    try:
+        report = audit_lower_bound(circuit, graph)
+    except ValueError as e:  # topology size does not match the circuit
+        raise _UsageError(str(e)) from e
     print(report.text())
     return 0 if report.passed else 3
 

@@ -199,7 +199,12 @@ def audit_lower_bound(c: Circuit, topology: ConnectivityGraph) -> AuditReport:
     otherwise), and (c) the normalized depth meets the implied floor
     (ceil(log2 n) - 1 on a complete graph, half the graph diameter
     otherwise, since a cone's radius grows by at most one per layer).
+    Raises ValueError when the topology's vertex count is not the
+    circuit's qubit count.
     """
+    if topology.num_vertices != c.num_qubits:
+        raise ValueError(f"topology has {topology.num_vertices} vertices, "
+                         f"circuit has {c.num_qubits} qubits")
     g = build_lightcone(c)
     d = g.depth
     n = g.num_qubits

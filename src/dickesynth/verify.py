@@ -1,8 +1,8 @@
 """State-vector verification utilities.
 
-Dense little-endian simulator plus analytic reference states, fidelity,
-partial trace, and a two-qubit separability test (partial-transpose
-criterion, exact in dimension 2x2).
+Sparse-support little-endian simulator plus analytic reference states,
+fidelity, partial trace, and a two-qubit separability test
+(partial-transpose criterion, exact in dimension 2x2).
 """
 
 from __future__ import annotations
@@ -35,13 +35,22 @@ def basis_state(num_qubits: int, bits: str | int) -> np.ndarray:
         index = int(bits, 2)
     else:
         index = int(bits)
+    if not 0 <= index < 1 << num_qubits:
+        raise ValueError(f"basis index {index} outside [0, 2^{num_qubits})")
     v = np.zeros(1 << num_qubits, dtype=complex)
     v[index] = 1.0
     return v
 
 
 def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
-    """Apply c to a basis string / index / state vector (default |0...0>)."""
+    """Apply c to a basis string / index / state vector (default |0...0>).
+
+    The state is held on its support only: basis indices with their
+    amplitudes. A CNOT relabels indices; a single-qubit gate pairs each
+    index with its partner across the target bit, and amplitudes with
+    |a| <= 1e-14 are dropped. Dicke unitaries started from a unary input
+    reach about C(n, k) of the 2^n basis states.
+    """
     n = c.num_qubits
     if n > cap:
         raise ValueError(f"{n} qubits exceeds simulator cap {cap}")
@@ -53,38 +62,42 @@ def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
         psi = np.array(state, dtype=complex)
         if psi.shape != (1 << n,):
             raise ValueError("state vector dimension mismatch")
-    # view as an n-axis tensor; axis i (from the right) is qubit i
-    psi = psi.reshape((2,) * n)
+    idx = np.flatnonzero(psi).astype(np.int64)
+    amp = psi[idx]
     for g in c.gates:
         if g.kind == "cx":
             ctrl, targ = g.qubits
-            # swap the target axis within the control=1 slice
-            sl = [slice(None)] * n
-            sl[n - 1 - ctrl] = 1
-            sub = psi[tuple(sl)]
-            axis = (n - 1 - targ) - (1 if targ < ctrl else 0)
-            sub[...] = np.flip(sub, axis=axis).copy()
-        else:
-            (targ,) = g.qubits
-            m = gate_matrix(g)
-            psi = np.tensordot(m, psi, axes=([1], [n - 1 - targ]))
-            psi = np.moveaxis(psi, 0, n - 1 - targ)
-    psi = psi.reshape(1 << n)
-    norm = np.linalg.norm(psi)
+            idx = idx ^ (((idx >> ctrl) & 1) << targ)
+            continue
+        (targ,) = g.qubits
+        bit = 1 << targ
+        pairs, slot = np.unique(idx & ~bit, return_inverse=True)
+        # column 0 holds the target-bit-0 amplitude of each pair, column 1
+        # the target-bit-1 one; indices are distinct, so no two collide
+        half = np.zeros((len(pairs), 2), dtype=complex)
+        half[slot, (idx >> targ) & 1] = amp
+        amp = (half @ gate_matrix(g).T).ravel()
+        idx = (pairs[:, None] | np.array([0, bit], dtype=np.int64)).ravel()
+        keep = np.abs(amp) > 1e-14
+        idx, amp = idx[keep], amp[keep]
+    norm = np.linalg.norm(amp)
     if abs(norm - 1.0) > 1e-9:
         raise RuntimeError(f"simulation lost normalization: |psi| = {norm}")
-    return psi
+    out = np.zeros(1 << n, dtype=complex)
+    out[idx] = amp
+    return out
 
 
 def dicke_reference(n: int, ell: int) -> np.ndarray:
     """Uniform superposition of all weight-ell n-bit strings."""
     if not 0 <= ell <= n:
         raise ValueError("weight out of range")
+    # popcount table: the upper half of each doubling is the lower half + 1
+    weight = np.zeros(1 << n, dtype=np.int8)
+    for q in range(n):
+        weight[1 << q:2 << q] = weight[:1 << q] + 1
     v = np.zeros(1 << n, dtype=complex)
-    amp = 1.0 / math.sqrt(math.comb(n, ell))
-    for idx in range(1 << n):
-        if idx.bit_count() == ell:
-            v[idx] = amp
+    v[weight == ell] = 1.0 / math.sqrt(math.comb(n, ell))
     return v
 
 

@@ -72,6 +72,15 @@ def test_synth_symmetric_rejects_unnormalized(tmp_path):
                 "--symmetric", str(amp)]) == 2
 
 
+@pytest.mark.parametrize("text", ["0.5 abc\n0.5 0\n0.5 0\n", None])
+def test_synth_symmetric_unreadable_amplitudes(tmp_path, text):
+    amp = tmp_path / "alpha.txt"  # None: the file does not exist
+    if text is not None:
+        amp.write_text(text)
+    assert run(["synth", "--topology", "complete", "--n", "6", "--k", "2",
+                "--symmetric", str(amp)]) == 2
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -119,18 +128,16 @@ def test_verify_corrupted_circuit_fails(tmp_path):
     assert run(["verify", "--circuit", str(out), "--n", "8", "--k", "2"]) == 3
 
 
-def test_verify_vacuous_tolerance(tmp_path):
-    out = synth_file(tmp_path, ["complete"], 8, 2)
-    lines = out.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("U "):
-            parts = line.split()
-            parts[2] = repr(float(parts[2]) + 0.5)
-            lines[i] = " ".join(parts)
-            break
-    out.write_text("\n".join(lines) + "\n")
-    assert run(["verify", "--circuit", str(out), "--n", "8", "--k", "2",
-                "--tol", "2"]) == 0
+def test_verify_vacuous_tolerance(tmp_path, capsys):
+    # a tolerance outside [0, 1) would pass any circuit, so it is refused
+    f = tmp_path / "c.qc"
+    f.write_text("QUBITS 4\n")
+    for tol in ["2", "-1", "nan", "inf", "1"]:
+        assert run(["verify", "--circuit", str(f), "--n", "4", "--k", "2",
+                    "--tol", tol]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(["verify", "--circuit", str(f), "--n", "4", "--k", "0",
+                "--tol", "0"]) == 0
 
 
 @pytest.mark.parametrize("k_args", [["--k", "5"], ["--k", "-1"],
@@ -190,7 +197,9 @@ def test_bench_grid_one_row_equals_path(capsys):
 
 
 def test_bench_bad_range():
-    assert run(["bench", "--topology", "complete", "--n-range", "abc"]) == 2
+    for text in ["abc", "4..x", "x..8", "1..2..4"]:
+        assert run(["bench", "--topology", "complete", "--n-range",
+                    text]) == 2
 
 
 # --- lightcone ------------------------------------------------------------------
@@ -221,6 +230,12 @@ def test_malformed_circuit_is_usage_error(tmp_path, line, command):
     f = tmp_path / "bad.qc"
     f.write_text(f"QUBITS 2\n{line}\n")
     assert run(command + ["--circuit", str(f)]) == 2
+
+
+def test_lightcone_topology_size_mismatch(tmp_path):
+    out = synth_file(tmp_path, ["complete"], 4, 1)
+    assert run(["lightcone", "--circuit", str(out), "--topology", "grid",
+                "2x3"]) == 2
 
 
 def test_lightcone_unknown_topology(tmp_path):

@@ -124,6 +124,14 @@ def test_audit_flags_disjoint_cones():
     assert "FAIL" in report.text()
 
 
+@pytest.mark.parametrize("vertices", [3, 6])
+def test_audit_rejects_topology_of_other_size(vertices):
+    c = Circuit(4)
+    c.cx(0, 1)
+    with pytest.raises(ValueError):
+        audit_lower_bound(c, ConnectivityGraph.path(vertices))
+
+
 def test_audit_report_lists_cone_sizes():
     c = prepare_dicke("complete", 4, 1)
     report = audit_lower_bound(c, ConnectivityGraph.complete(4))

@@ -3,10 +3,97 @@ import math
 import numpy as np
 import pytest
 
-from dickesynth.circuit import Circuit
+from dickesynth.circuit import Circuit, gate_matrix
+from dickesynth.synth import prepare_dicke
 from dickesynth.verify import (basis_state, dicke_reference, fidelity,
                                partial_trace, simulate,
                                two_qubit_separability)
+
+
+def _dense_simulate(c, psi):
+    """Reference oracle: the dense tensordot loop over all 2^n amplitudes."""
+    n = c.num_qubits
+    # view as an n-axis tensor; axis i (from the right) is qubit i
+    psi = np.array(psi, dtype=complex).reshape((2,) * n)
+    for g in c.gates:
+        if g.kind == "cx":
+            ctrl, targ = g.qubits
+            # swap the target axis within the control=1 slice
+            sl = [slice(None)] * n
+            sl[n - 1 - ctrl] = 1
+            sub = psi[tuple(sl)]
+            axis = (n - 1 - targ) - (1 if targ < ctrl else 0)
+            sub[...] = np.flip(sub, axis=axis).copy()
+        else:
+            (targ,) = g.qubits
+            psi = np.tensordot(gate_matrix(g), psi,
+                               axes=([1], [n - 1 - targ]))
+            psi = np.moveaxis(psi, 0, n - 1 - targ)
+    return psi.reshape(1 << n)
+
+
+def _dicke_loop(n, ell):
+    """Reference oracle: the per-integer popcount loop."""
+    v = np.zeros(1 << n, dtype=complex)
+    amp = 1.0 / math.sqrt(math.comb(n, ell))
+    for idx in range(1 << n):
+        if idx.bit_count() == ell:
+            v[idx] = amp
+    return v
+
+
+def _random_circuit(n, gates, seed, hadamards=False):
+    rng = np.random.default_rng(seed)
+    c = Circuit(n)
+    if hadamards:
+        for q in range(n):
+            c.u(q, math.pi / 2, 0.0, math.pi)
+    for _ in range(gates):
+        if rng.random() < 0.4:
+            a, b = rng.choice(n, size=2, replace=False)
+            c.cx(int(a), int(b))
+        else:
+            c.u(int(rng.integers(n)), *rng.uniform(-math.pi, math.pi, 4))
+    return c
+
+
+# tolerance fixed before measuring: complex128 round-off over a few thousand
+# gates stays orders of magnitude below it, the 1e-14 pruning too
+ORACLE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("topology,dims,k", [
+    ("complete", 14, 3), ("complete", 9, 4), ("complete", 12, 6),
+    ("grid", (2, 7), 3), ("grid", (3, 4), 2), ("grid", (3, 3), 4),
+    ("path", 14, 2), ("path", 10, 5)])
+def test_sparse_matches_dense_oracle_on_dicke_unitaries(topology, dims, k):
+    c = prepare_dicke(topology, dims, k)
+    n = c.num_qubits
+    for ell in range(k + 1):
+        want = _dense_simulate(c, basis_state(n, (1 << ell) - 1))
+        got = simulate(c, (1 << ell) - 1)
+        assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+def test_sparse_matches_dense_oracle_on_dense_input():
+    c = prepare_dicke("complete", 8, 3)
+    plus = np.full(1 << 8, 1 / 16, dtype=complex)
+    assert np.max(np.abs(simulate(c, plus)
+                         - _dense_simulate(c, plus))) <= ORACLE_TOL
+
+
+def test_sparse_matches_dense_oracle_on_full_support():
+    c = _random_circuit(10, 100, seed=7, hadamards=True)
+    got = simulate(c)
+    assert np.count_nonzero(got) == 1 << 10
+    assert np.max(np.abs(got - _dense_simulate(c, basis_state(10, 0)))) \
+        <= ORACLE_TOL
+
+
+def test_dicke_reference_matches_loop():
+    for n in range(13):
+        for ell in range(n + 1):
+            assert np.array_equal(dicke_reference(n, ell), _dicke_loop(n, ell))
 
 
 def test_x_flips():
@@ -28,15 +115,7 @@ def test_bell_creation():
 
 
 def test_random_circuit_preserves_norm():
-    rng = np.random.default_rng(5)
-    c = Circuit(6)
-    for _ in range(80):
-        if rng.random() < 0.4:
-            a, b = rng.choice(6, size=2, replace=False)
-            c.cx(int(a), int(b))
-        else:
-            c.u(int(rng.integers(6)), *rng.uniform(-math.pi, math.pi, 4))
-    out = simulate(c)
+    out = simulate(_random_circuit(6, 80, seed=5))
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -48,6 +127,14 @@ def test_simulator_cap():
 def test_basis_state_little_endian():
     v = basis_state(3, "011")
     assert v[0b011] == 1.0
+
+
+@pytest.mark.parametrize("index", [-1, 8, 1 << 40])
+def test_basis_index_out_of_range(index):
+    with pytest.raises(ValueError):
+        basis_state(3, index)
+    with pytest.raises(ValueError):
+        simulate(Circuit(3), index)
 
 
 def test_dicke_reference_trivial():
