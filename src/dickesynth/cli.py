@@ -82,6 +82,14 @@ def _load_amplitudes(path):
     return alpha
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e}") from e
+
+
 def cmd_synth(args) -> int:
     topology, dims = _parse_topology(args.topology)
     if topology == "grid":
@@ -104,10 +112,8 @@ def cmd_synth(args) -> int:
         circuit, plan = _synthesize(topology, dims, args.k)
     text = dumps(circuit)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        with open(args.out + ".plan", "w") as fh:
-            fh.write(plan.report())
+        _write_text(args.out, text)
+        _write_text(args.out + ".plan", plan.report())
     else:
         sys.stdout.write(text)
         for line in plan.report().splitlines():
@@ -177,9 +183,10 @@ def _bench_bound(topology, n1, n2, k):
 
 
 def cmd_bench(args) -> int:
-    if not args.topology or args.topology[0] not in ("complete", "path",
-                                                     "grid"):
-        raise _UsageError("bench topology must be complete, path or grid")
+    if len(args.topology) != 1 or args.topology[0] not in ("complete",
+                                                           "path", "grid"):
+        raise _UsageError("bench --topology takes one name: complete, path "
+                          "or grid (give grid rows with --rows)")
     topology = args.topology[0]
     if topology == "grid" and args.rows < 1:
         raise _UsageError("--rows must be positive for grid benches")
@@ -218,8 +225,7 @@ def cmd_bench(args) -> int:
                         f"{report.depth / bound:.6g}")
     text = "\n".join(rows) + "\n"
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
+        _write_text(args.csv, text)
     else:
         sys.stdout.write(text)
     return 0

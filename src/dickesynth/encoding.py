@@ -96,7 +96,7 @@ def u_ob(reg, ancilla, circuit: Circuit | None = None,
     p = min(max(len(rest) // unit, 1), k)
     blocks = [rest[b * unit:b * unit + c_w] for b in range(p)]
     trees = [rest[b * unit + c_w:(b + 1) * unit] for b in range(p)]
-    if len(rest) < unit:  # minimal pool: lone block, shallow-mode fallback
+    if len(rest) < unit:  # minimal pool: lone block, staircase fallback
         blocks = [rest[:c_w]]
         trees = [rest[c_w:]]
     # (1) t_j = XOR of one-hot bits whose index has binary bit j set
@@ -115,7 +115,7 @@ def u_ob(reg, ancilla, circuit: Circuit | None = None,
         for b, i in enumerate(batch):
             pattern = "".join("1" if (i >> j) & 1 else "0" for j in range(c_w))
             if len(trees[b]) >= max(c_w - 1, 0):
-                toffoli(blocks[b], scratch[i - 1], pattern, mode="log_depth",
+                toffoli(blocks[b], scratch[i - 1], pattern,
                         ancilla=trees[b], circuit=c)
             else:
                 toffoli(blocks[b], scratch[i - 1], pattern, circuit=c,

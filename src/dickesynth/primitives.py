@@ -88,20 +88,20 @@ def _mcx_dirty(c: Circuit, controls: list, t: int, anc: list) -> None:
         build_ccx(c, a, b, tt)
 
 
-def toffoli(controls, target: int, pattern: str, mode: str = "no_ancilla",
-            ancilla=None, num_qubits: int | None = None,
-            circuit: Circuit | None = None, borrow=None) -> Circuit:
+def toffoli(controls, target: int, pattern: str, ancilla=None,
+            num_qubits: int | None = None, circuit: Circuit | None = None,
+            borrow=None) -> Circuit:
     """Flip `target` iff the control register equals `pattern`.
 
     pattern[j] is the required value of controls[j]. Zero-controls are
-    conjugated by X. mode 'no_ancilla' needs no clean ancilla, but m >= 3
-    controls borrow m-2 spare (possibly dirty) wires of the circuit and
-    raise ValueError when it has fewer; 'log_depth' uses a balanced
-    AND-tree over >= len(controls)-1 clean ancilla.
-    `borrow` restricts which qubits a >=3-control gate may recruit for the
-    staircase decomposition; without it any idle circuit qubit is fair
-    game, which can create scheduling dependencies on registers the caller
-    wants free to run in parallel.
+    conjugated by X. Given `ancilla` (even an empty list), a balanced
+    AND-tree runs over >= len(controls)-1 of those clean qubits. Without
+    it no clean ancilla is needed, but m >= 3 controls borrow m-2 spare
+    (possibly dirty) wires of the circuit and raise ValueError when it has
+    fewer. `borrow` restricts which qubits a >=3-control gate may recruit
+    for that staircase; without it any idle circuit qubit is fair game,
+    which can create scheduling dependencies on registers the caller wants
+    free to run in parallel.
     """
     controls = list(controls)
     if len(pattern) != len(controls):
@@ -117,17 +117,15 @@ def toffoli(controls, target: int, pattern: str, mode: str = "no_ancilla",
     zeros = [q for q, b in zip(controls, pattern) if b == "0"]
     for q in zeros:
         c.x(q)
-    if mode == "no_ancilla":
+    if ancilla is None:
         _mcx_no_ancilla(c, controls, target, borrow)
-    elif mode == "log_depth":
-        anc = list(ancilla or [])
+    else:
+        anc = list(ancilla)
         if len(anc) < max(len(controls) - 1, 0):
             raise ValueError("insufficient ancilla")
         if set(anc) & touched:
             raise ValueError("overlapping index sets")
         _and_tree(c, controls, target, anc)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for q in zeros:
         c.x(q)
     return c

@@ -4,9 +4,10 @@ Three synthesis strategies share one functional contract — the produced
 circuit maps |0^{n-l}1^l> -> |D^n_l> for every l in [k]_0, with the l input
 ones occupying qubits 0..l-1:
 
-* ``synth_alltoall``: recursive halving on unrestricted connectivity, each
-  split realized by an ancilla-accelerated divide unitary borrowing the
-  node's own idle qubits.
+* ``synth_alltoall``: recursive halving on unrestricted connectivity. Each
+  block size takes whichever of the ladder, the ancilla-accelerated divide
+  (borrowing the block's own idle qubits) and the conveyor divide gives the
+  shallowest block.
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
   when the grid is tall enough (k >= n2/n1) and a left-to-right column-group
   sweep otherwise.
@@ -67,7 +68,7 @@ class PlanNode:
 @dataclass
 class SynthesisPlan:
     """Audit record of a synthesis run: one entry per divide node plus the
-    terminal small-block Dicke unitaries."""
+    qubit blocks that end on a ladder Dicke unitary."""
 
     topology: ConnectivityGraph
     n: int
@@ -95,10 +96,10 @@ def _subcircuit_stats(c: Circuit, start: int) -> tuple:
 
 def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
                            num_qubits: int | None = None) -> Circuit:
-    """Divide unitary D^{n,m}_k using N clean ancilla, restored on exit.
+    """Divide unitary D^{n,m}_k using N >= 2k clean ancilla, restored on
+    exit; fewer raise ValueError.
 
-    With N < 2k the nearest-neighbor conveyor is used directly. With
-    N >= 2k the count is converted unary -> one-hot -> binary, the split
+    The count is converted unary -> one-hot -> binary, the split
     amplitudes are loaded by a controlled state preparation on a
     log-width register, and one-hot arithmetic separates the two shares:
 
@@ -116,14 +117,9 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
         raise ValueError("ancilla overlaps data registers")
     if len(set(anc)) != len(anc):
         raise ValueError("duplicate ancilla index")
-    everything = list(data | set(anc))
-    nq = num_qubits if num_qubits is not None else max(everything) + 1
     if len(anc) < 2 * k:
-        path = divide_unitary_path(spec)
-        c = Circuit(nq)
-        c.extend(path.gates)
-        return c
-
+        raise ValueError(f"need {2 * k} ancilla, got {len(anc)}")
+    nq = num_qubits if num_qubits is not None else max(data | set(anc)) + 1
     s1 = list(spec.left)
     s2 = list(spec.right)
     c = Circuit(nq)
@@ -208,71 +204,65 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
 def synth_alltoall(n: int, k: int) -> tuple:
     """Dicke unitary on unrestricted connectivity.
 
-    Recursively halves the qubit block; each node's divide borrows the
-    node's own idle (still |0>) qubits as clean ancilla, so depth is
-    O(log k log(n/k) + k). For k > n/4 the recursion is not worthwhile and
-    the linear ladder is used outright."""
+    Recursively halves the qubit block: a divide unitary hands the upper
+    half its share of the count, then each half recurses; a block may
+    instead finish on the linear ladder. The blocks of a layer are
+    identical, so one choice is made per block size, bottom-up over the
+    O(log n) sizes: the shallowest of the ladder and, when each half can
+    hold k, the divides (the ancilla pipeline borrowing the block's idle
+    qubits when it has 2k of them, then the conveyor), a divide scored by
+    its ASAP depth plus the deeper half's. The first listed wins ties.
+    Depth is O(log k log(n/k) + k)."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
     plan = SynthesisPlan(g, n, k)
     c = Circuit(n)
+    # block size -> (score, variant, template, template depth)
+    chosen: dict = {}
 
-    if k > n // 4:
-        c.extend(dicke_unitary_path(n, k).gates)
-        plan.tail_units.append(tuple(range(n)))
-        return c, plan
-
-    # every node of a layer is an identical contiguous block, so each block
-    # size is synthesized once and reused by qubit-index offset
-    divide_cache: dict = {}
-    tail_cache: dict = {}
-
-    def divide_template(nn: int) -> tuple:
-        if nn not in divide_cache:
-            half = nn // 2
-            m = nn - half
-            spec = DivideSpec(n=nn, m=m, k=k,
+    def choose(nn: int) -> tuple:
+        if nn in chosen:
+            return chosen[nn]
+        half = nn // 2
+        options = []          # (variant, template, depth of the halves)
+        if half >= k:
+            spec = DivideSpec(n=nn, m=nn - half, k=k,
                               left=tuple(range(half, half + k)),
                               right=tuple(range(k)))
             idle = tuple(range(k, half)) + tuple(range(half + k, nn))
-            # build both divide realizations and keep the shallower: at
-            # small and moderate k the conveyor's c*k depth beats the
-            # pipeline's state-preparation stage, while the pipeline wins
-            # once enough ancilla make its encoding stages effectively flat.
-            # The ancilla variant comes first so it wins ties.
-            cand = []
+            low, high = choose(half), choose(nn - half)
+            below = max(low[0], high[0])
             if len(idle) >= 2 * k:
-                cand.append(("ancilla", divide_unitary_ancilla(
-                    spec, idle, num_qubits=nn)))
-            cand.append(("path", divide_unitary_path(spec)))
-            scored = [(asap_layering(s).depth, name, s) for name, s in cand]
-            divide_cache[nn] = min(scored, key=lambda t: t[0])
-        return divide_cache[nn]
-
-    def tail_template(nn: int) -> Circuit:
-        if nn not in tail_cache:
-            tail_cache[nn] = dicke_unitary_path(nn, min(k, nn))
-        return tail_cache[nn]
-
-    def place(template: Circuit, base: int) -> None:
-        # remap_qubits checks the offset map once, not each gate
-        shift = range(base, base + template.num_qubits)
-        c.gates.extend(remap_qubits(template, shift, n).gates)
+                options.append(("ancilla", divide_unitary_ancilla(
+                    spec, idle, num_qubits=nn), below))
+            options.append(("path", divide_unitary_path(spec), below))
+        # the block's ladder is about twice as deep as a half's; where a
+        # half beat its own ladder, the block's has lost at every size
+        # tried, so it is only built where no divide fits or both halves
+        # took the ladder
+        if not options or low[1] == high[1] == "ladder":
+            options.insert(0, ("ladder", dicke_unitary_path(nn, k), 0))
+        scored = [(asap_layering(t).depth, variant, t, below)
+                  for variant, t, below in options]
+        depth, variant, template, below = min(scored,
+                                              key=lambda o: o[0] + o[3])
+        chosen[nn] = (depth + below, variant, template, depth)
+        return chosen[nn]
 
     def rec(base: int, nn: int, layer: int) -> None:
-        if nn <= 2 * k:
-            place(tail_template(nn), base)
-            plan.tail_units.append(tuple(range(base, base + nn)))
+        _, variant, template, depth = choose(nn)
+        # remap_qubits checks the offset map once, not each gate
+        shift = range(base, base + nn)
+        c.gates.extend(remap_qubits(template, shift, n).gates)
+        if variant == "ladder":
+            plan.tail_units.append(tuple(shift))
             return
         half = nn // 2            # low half keeps the count (S2 side)
-        m = nn - half             # capacity routed to S1
-        depth, variant, sub = divide_template(nn)
-        place(sub, base)
         s2 = tuple(range(base, base + k))
         s1 = tuple(range(base + half, base + half + k))
-        plan.recursion_tree.append(PlanNode(layer, nn, m, s1, s2, variant,
-                                            depth, sub.size))
+        plan.recursion_tree.append(PlanNode(layer, nn, nn - half, s1, s2,
+                                            variant, depth, template.size))
         rec(base, half, layer + 1)
         rec(base + half, nn - half, layer + 1)
 

@@ -56,7 +56,7 @@ def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
         raise ValueError(f"{n} qubits exceeds simulator cap {cap}")
     if state is None:
         psi = basis_state(n, 0)
-    elif isinstance(state, (str, int)):
+    elif isinstance(state, (str, int, np.integer)):
         psi = basis_state(n, state)
     else:
         psi = np.array(state, dtype=complex)

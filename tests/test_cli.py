@@ -37,6 +37,14 @@ def test_synth_rejects_large_k():
     assert run(["synth", "--topology", "complete", "--n", "8", "--k", "7"]) == 2
 
 
+def test_synth_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.qc"
+    assert run(["synth", "--topology", "complete", "--n", "8", "--k", "2",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "internal" not in err
+
+
 def test_synth_rejects_contradictory_n():
     assert run(["synth", "--topology", "grid", "2x3", "--n", "7",
                 "--k", "1"]) == 2
@@ -194,6 +202,23 @@ def test_bench_grid_one_row_equals_path(capsys):
     path_out = capsys.readouterr().out.splitlines()[1:]
     assert [l.split(",")[4] for l in grid_out] == \
         [l.split(",")[4] for l in path_out]
+
+
+def test_bench_unwritable_csv_is_usage_error(tmp_path, capsys):
+    csv = tmp_path / "missing" / "x.csv"
+    assert run(["bench", "--topology", "complete", "--n-range", "8",
+                "--k-range", "2", "--csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "internal" not in err
+
+
+@pytest.mark.parametrize("tokens", [["complete", "extra"], ["grid", "4x8"],
+                                    ["path", "8"]])
+def test_bench_topology_takes_only_a_name(tokens, capsys):
+    assert run(["bench", "--topology", *tokens, "--n-range", "8",
+                "--k-range", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--rows" in captured.err
 
 
 def test_bench_bad_range():

@@ -43,8 +43,7 @@ def test_toffoli_indicator_truth_table(pattern):
 def test_toffoli_log_depth_matches_indicator(m):
     controls = list(range(m))
     anc = list(range(m + 1, 2 * m))
-    c = toffoli(controls, m, "1" * m, mode="log_depth", ancilla=anc,
-                num_qubits=2 * m)
+    c = toffoli(controls, m, "1" * m, ancilla=anc, num_qubits=2 * m)
     for x in range(1 << m):
         out = peak(simulate(c, x))
         want = x | (1 << m) if x == (1 << m) - 1 else x
@@ -53,8 +52,7 @@ def test_toffoli_log_depth_matches_indicator(m):
 
 def test_toffoli_log_depth_needs_ancilla():
     with pytest.raises(ValueError):
-        toffoli([0, 1, 2], 3, "111", mode="log_depth", ancilla=[4],
-                num_qubits=5)
+        toffoli([0, 1, 2], 3, "111", ancilla=[4], num_qubits=5)
 
 
 def test_toffoli_rejects_overlap():
@@ -80,8 +78,7 @@ def test_toffoli_without_spare_wires_rejected():
 def test_toffoli_log_depth_scaling():
     for m in range(2, 13):
         anc = list(range(m + 1, 2 * m))
-        c = toffoli(list(range(m)), m, "1" * m, mode="log_depth", ancilla=anc,
-                    num_qubits=2 * m)
+        c = toffoli(list(range(m)), m, "1" * m, ancilla=anc, num_qubits=2 * m)
         d = asap_layering(c).depth
         assert d <= 30 * math.ceil(math.log2(m)) + 30
 
@@ -200,8 +197,7 @@ def test_primitives_restore_ancilla_on_all_basis_inputs():
     # log-depth Toffoli over every basis input of its control register
     m = 4
     anc = list(range(m + 1, 2 * m))
-    c = toffoli(list(range(m)), m, "1010", mode="log_depth", ancilla=anc,
-                num_qubits=2 * m)
+    c = toffoli(list(range(m)), m, "1010", ancilla=anc, num_qubits=2 * m)
     for x in range(1 << (m + 1)):
         out = peak(simulate(c, x))
         assert out >> (m + 1) == 0  # ancilla bits all zero

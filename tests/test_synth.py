@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dickesynth.circuit import (ConnectivityGraph, asap_layering, dumps,
-                                validate_connectivity)
+from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
+                                dumps, remap_qubits, validate_connectivity)
 from dickesynth.synth import (SynthesisPlan, divide_unitary_ancilla,
                               prepare_dicke, prepare_symmetric,
                               synth_alltoall, synth_grid)
@@ -64,16 +64,12 @@ def test_divide_ancilla_matches_path_variant(n, m, k):
 
 
 def test_divide_ancilla_small_budget_delegates_to_conveyor():
-    # N < 2k: same unitary as the path conveyor, gate for gate
+    # N < 2k is refused; the caller picks the conveyor itself
     k = 2
     spec = aa_spec(6, 3, k)
-    c_small = divide_unitary_ancilla(spec, range(2 * k, 2 * k + 1),
-                                     num_qubits=2 * k + 1)
-    c_path = divide_unitary_path(spec)
-    for ell in range(k + 1):
-        a = simulate(c_small, unary_index(ell, k) << k)
-        p = simulate(c_path, unary_index(ell, k) << k)
-        assert fidelity(a.reshape(2, -1)[0], p) > 1 - 1e-10
+    with pytest.raises(ValueError):
+        divide_unitary_ancilla(spec, range(2 * k, 4 * k - 1),
+                               num_qubits=4 * k - 1)
 
 
 # --- all-to-all synthesis ------------------------------------------------------
@@ -101,29 +97,99 @@ def test_alltoall_plan_structure():
     per_layer = {}
     for node in plan.recursion_tree:
         per_layer.setdefault(node.layer, []).append(node)
-        assert node.n_node > 2 * k  # recursion stops at blocks of <= 2k
+        assert node.n_node // 2 >= k  # each half can hold the whole count
     for layer, nodes in per_layer.items():
         assert len(nodes) <= 2 ** (layer - 1)
-    assert all(len(unit) <= 2 * k for unit in plan.tail_units)
+    tails = sorted(q for unit in plan.tail_units for q in unit)
+    assert tails == list(range(n))
     assert "plan topology=complete" in plan.report()
 
 
 def test_plan_records_divide_variant_that_ran():
     _, plan = synth_alltoall(1024, 8)
     assert {node.variant for node in plan.recursion_tree} == {"ancilla"}
-    # blocks where the conveyor is shallower than the encoding pipeline
-    for n, k, block in [(512, 16, 64), (64, 4, 16)]:
+    # the conveyor is shallower than the encoding pipeline at small k
+    for n, k in [(64, 2), (128, 3)]:
         _, plan = synth_alltoall(n, k)
-        nodes = [p for p in plan.recursion_tree if p.n_node == block]
-        assert nodes and all(p.variant == "path" for p in nodes)
+        assert plan.recursion_tree
+        assert {node.variant for node in plan.recursion_tree} == {"path"}
         assert "variant=path" in plan.report()
     _, plan = synth_grid(4, 8, 2)
     assert plan.recursion_tree
     assert all(p.variant == "path" for p in plan.recursion_tree)
 
 
+def _alltoall_every_ladder(n, k):
+    """Oracle for synth_alltoall: the same depth-scored choice per block
+    size, with the ladder built and scored at every size."""
+    chosen = {}
+
+    def choose(nn):
+        if nn not in chosen:
+            half = nn // 2
+            options = [(dicke_unitary_path(nn, k), 0, False)]
+            if half >= k:
+                spec = DivideSpec(n=nn, m=nn - half, k=k,
+                                  left=tuple(range(half, half + k)),
+                                  right=tuple(range(k)))
+                idle = tuple(range(k, half)) + tuple(range(half + k, nn))
+                below = max(choose(half)[0], choose(nn - half)[0])
+                if len(idle) >= 2 * k:
+                    options.append((divide_unitary_ancilla(
+                        spec, idle, num_qubits=nn), below, True))
+                options.append((divide_unitary_path(spec), below, True))
+            scores = [asap_layering(t).depth + below
+                      for t, below, _ in options]
+            best = scores.index(min(scores))
+            chosen[nn] = (scores[best], *options[best])
+        return chosen[nn]
+
+    c = Circuit(n)
+
+    def rec(base, nn):
+        _, template, _, divides = choose(nn)
+        c.extend(remap_qubits(template, range(base, base + nn), n).gates)
+        if divides:
+            rec(base, nn // 2)
+            rec(base + nn // 2, nn - nn // 2)
+
+    rec(0, n)
+    return c
+
+
+ORACLE_POINTS = [(n, k) for k in (1, 2, 3, 4, 8, 16)
+                 for n in sorted({2 * k, 2 * k + 1, 3 * k + 1, 4 * k,
+                                  5 * k + 2, 8 * k - 1, 8 * k, 16 * k + 3,
+                                  100, 256}) if 2 * k <= n <= 256]
+
+
+@pytest.mark.parametrize("n,k", ORACLE_POINTS)
+def test_alltoall_matches_every_ladder_oracle(n, k):
+    c, _ = synth_alltoall(n, k)
+    assert dumps(c) == dumps(_alltoall_every_ladder(n, k))
+
+
+# (depth, size) of synth_alltoall before the per-block-size choice, when
+# k > n/4 took the ladder outright, blocks of <= 2k qubits always did, and
+# every larger block divided
+PRE_CHOICE_DEPTH_SIZE = {
+    (14, 3): (404, 870), (16, 3): (410, 930), (64, 4): (1002, 7372),
+    (64, 8): (2048, 14491), (128, 16): (4566, 44229),
+    (256, 8): (2852, 72487), (512, 16): (5894, 224442),
+    (1024, 8): (3514, 306583),
+}
+
+
+@pytest.mark.parametrize("n,k", list(PRE_CHOICE_DEPTH_SIZE))
+def test_alltoall_no_deeper_or_larger_than_before(n, k):
+    c, _ = synth_alltoall(n, k)
+    depth, size = PRE_CHOICE_DEPTH_SIZE[(n, k)]
+    assert asap_layering(c).depth <= depth
+    assert c.size <= size
+
+
 def test_alltoall_large_k_delegates_to_ladder():
-    c, plan = synth_alltoall(8, 3)  # k > n/4
+    c, plan = synth_alltoall(8, 3)  # the ladder beats a divide here
     assert plan.recursion_tree == []
     for ell in range(4):
         out = simulate(c, unary_index(ell, 8))
@@ -253,13 +319,13 @@ DUMPS_SHA256 = {
         "fbc71adce11a4f067ce7cb73ceb31014a44b448904559bf34b6d4daf7de78d01"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "7a743ddfeeeaa9ed12afa93c4e3d5f1f5da09d2cc83b6e5c7e4afc4235bb9bde"),
+        "7acbadc66254951e4368133e567bfe1e1ad93f9de38298c8e10fb7a513121d5f"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "d034873664f715ab671c008450a86de280be2bdce88a3d072fa04b1b77509fcb"),
+        "6dbcda19058ef35469c91512023810418e460e488dfd8563d64f859814f8f6b1"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "1b881f825f0350ddd00e5f94a01458bc78baaf2e8d367be35243a0afc3bf9afa"),
+        "30b93b5808cbce585ad95a75116b72594ab19a22321977ba66d7a4fda27c71a0"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
         "d714f003770cd9b16b5a4217c8cebb8a7e5fd968daeed85c1a4a4bec7a8bdf49"),

@@ -137,6 +137,16 @@ def test_basis_index_out_of_range(index):
         simulate(Circuit(3), index)
 
 
+@pytest.mark.parametrize("index", [np.int64(3), np.uint8(3), np.int32(3)])
+def test_simulate_numpy_integer_index(index):
+    c = Circuit(3)
+    c.u(0, 0.3, 0.1, 0.2, 0.0)
+    c.cx(0, 2)
+    assert np.array_equal(simulate(c, index), simulate(c, 3))
+    with pytest.raises(ValueError):
+        simulate(c, np.int64(8))
+
+
 def test_dicke_reference_trivial():
     assert dicke_reference(5, 0)[0] == 1.0
     d21 = dicke_reference(2, 1)
