@@ -209,18 +209,23 @@ def asap_layering(c: Circuit) -> DepthReport:
     """Greedy earliest-slot layering: each gate goes in the first layer after
     every earlier gate sharing one of its qubits. O(size) via per-qubit
     frontier levels."""
-    frontier = np.zeros(c.num_qubits, dtype=np.int64)
+    frontier = [0] * c.num_qubits
     layers: list = []
     for idx, g in enumerate(c.gates):
-        level = 0
-        for q in g.qubits:
-            if frontier[q] > level:
-                level = frontier[q]
-        if level == len(layers):
-            layers.append([])
-        layers[level].append(idx)
-        for q in g.qubits:
+        if g.kind == "cx":
+            a, b = g.qubits
+            level = frontier[a]
+            if frontier[b] > level:
+                level = frontier[b]
+            frontier[a] = frontier[b] = level + 1
+        else:
+            q, = g.qubits
+            level = frontier[q]
             frontier[q] = level + 1
+        if level == len(layers):
+            layers.append([idx])
+        else:
+            layers[level].append(idx)
     return DepthReport(depth=len(layers), size=len(c.gates), layers=layers)
 
 
@@ -247,8 +252,8 @@ def inverse(c: Circuit) -> Circuit:
 
 def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
     """Relabel qubit q of c as perm[q]. perm is any indexable map (dict,
-    list or range); it is checked once to be injective with images in
-    [0, num_qubits), so the per-gate work is only the lookups."""
+    list or range); it is checked once to map every qubit of c, injectively,
+    into [0, num_qubits), so the per-gate work is only the lookups."""
     pairs = list(perm.items() if isinstance(perm, dict) else enumerate(perm))
     images = [p for _, p in pairs]
     if len(set(images)) != len(images):
@@ -256,6 +261,8 @@ def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
     nq = num_qubits if num_qubits is not None else c.num_qubits
     if images and not (0 <= min(images) and max(images) < nq):
         raise ValueError("qubit map image out of range")
+    if not set(range(c.num_qubits)) <= {q for q, _ in pairs}:
+        raise ValueError("qubit map leaves a qubit of the circuit unmapped")
     if pairs == [(q, q) for q in range(c.num_qubits)]:
         gates = list(c.gates)  # identity: gates are immutable, share them
     else:
@@ -273,13 +280,24 @@ def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
 
 
 def dumps(c: Circuit) -> str:
+    """The text format of c. A circuit placed from block templates holds
+    few distinct U parameter tuples, so each tuple's text is formatted once
+    per call. The memo is keyed on the tuple's id, not its value: a value
+    key would merge 0.0 with -0.0 (they compare equal) and write one sign
+    for both. The ids stay valid because c.gates keeps every tuple alive
+    for the call."""
     lines = [f"QUBITS {c.num_qubits}"]
+    params_text: dict = {}
     for g in c.gates:
+        q = g.qubits
         if g.kind == "cx":
-            lines.append(f"CX {g.qubits[0]} {g.qubits[1]}")
-        else:
-            p = " ".join(f"{x:.17g}" for x in g.params)
-            lines.append(f"U {g.qubits[0]} {p}")
+            lines.append(f"CX {q[0]} {q[1]}")
+            continue
+        p = params_text.get(id(g.params))
+        if p is None:
+            p = "%.17g %.17g %.17g %.17g" % g.params
+            params_text[id(g.params)] = p
+        lines.append(f"U {q[0]} {p}")
     return "\n".join(lines) + "\n"
 
 
@@ -287,10 +305,18 @@ def loads(text: str) -> Circuit:
     """Parse the text format. Raises ValueError on a malformed line: a
     wrong operand count, a qubit outside [0, QUBITS), a non-finite U
     parameter, or a QUBITS header that is missing, repeated or not
-    positive."""
+    positive. Each distinct gate line is parsed and checked once per call,
+    and its repeats share that one immutable Gate. The memo is keyed on the
+    exact line, so every spelling that differs in any character (a sign of
+    zero included) is parsed and checked on its own."""
     num_qubits = None
     gates = []
+    parsed: dict = {}
     for raw in text.splitlines():
+        g = parsed.get(raw)
+        if g is not None:
+            gates.append(g)
+            continue
         tok = raw.split()
         if not tok or tok[0].startswith("#"):
             continue
@@ -302,22 +328,25 @@ def loads(text: str) -> Circuit:
                       float(tok[5]))
             if not all(map(math.isfinite, params)):
                 raise ValueError(f"non-finite U parameter: {raw!r}")
-            gates.append(Gate("u", (int(tok[1]),), params))
+            g = Gate("u", (int(tok[1]),), params)
         elif head == "CX":
             if len(tok) != 3:
                 raise ValueError(f"CX takes two qubits: {raw!r}")
-            gates.append(Gate("cx", (int(tok[1]), int(tok[2]))))
+            g = Gate("cx", (int(tok[1]), int(tok[2])))
         elif head == "QUBITS":
             if num_qubits is not None:
                 raise ValueError("repeated QUBITS header")
             if len(tok) != 2 or int(tok[1]) < 1:
                 raise ValueError(f"QUBITS needs one positive count: {raw!r}")
             num_qubits = int(tok[1])
+            continue
         else:
             raise ValueError(f"unrecognized line: {raw!r}")
+        parsed[raw] = g
+        gates.append(g)
     if num_qubits is None:
         raise ValueError("missing QUBITS header")
-    qubits = [q for g in gates for q in g.qubits]
+    qubits = [q for g in parsed.values() for q in g.qubits]
     if qubits and (min(qubits) < 0 or max(qubits) >= num_qubits):
         raise ValueError(f"gate qubit outside [0, {num_qubits})")
     return Circuit(num_qubits, gates)

@@ -5,7 +5,7 @@ import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
                                 compose, cx_gate, dumps, inverse, loads,
-                                remap_qubits, validate_connectivity)
+                                remap_qubits, u_gate, validate_connectivity)
 from dickesynth.verify import fidelity, simulate
 
 
@@ -32,17 +32,32 @@ def test_asap_hand_schedule():
     assert rep.layers == [[0], [1, 2]]
 
 
+def _earliest_slot_layers(c):
+    """O(size^2) oracle: a gate's level is 1 + the highest level of any
+    earlier gate sharing a qubit with it."""
+    level = []
+    for i, g in enumerate(c.gates):
+        level.append(1 + max((level[j] for j in range(i)
+                              if set(g.qubits) & set(c.gates[j].qubits)),
+                             default=0))
+    layers = [[] for _ in range(max(level, default=0))]
+    for i, lv in enumerate(level):
+        layers[lv - 1].append(i)
+    return layers
+
+
 def test_asap_layers_cover_all_gates():
     rng = np.random.default_rng(7)
     c = Circuit(6)
-    for _ in range(40):
-        a, b = rng.choice(6, size=2, replace=False)
-        c.cx(int(a), int(b))
+    for _ in range(80):
+        if rng.random() < 0.5:
+            a, b = rng.choice(6, size=2, replace=False)
+            c.cx(int(a), int(b))
+        else:
+            c.u(int(rng.integers(6)), *rng.uniform(-math.pi, math.pi, 4))
     rep = asap_layering(c)
-    assert sorted(i for layer in rep.layers for i in layer) == list(range(40))
-    for layer in rep.layers:
-        qubits = [q for i in layer for q in c.gates[i].qubits]
-        assert len(qubits) == len(set(qubits))
+    assert rep.layers == _earliest_slot_layers(c)
+    assert rep.depth == len(rep.layers) and rep.size == 80
 
 
 def test_layering_preserves_semantics():
@@ -141,6 +156,10 @@ def test_remap_qubits():
         remap_qubits(c, {0: 1, 1: 1})
     with pytest.raises(ValueError):
         remap_qubits(c, range(1, 3))  # image 2 outside a 2-qubit circuit
+    with pytest.raises(ValueError, match="unmapped"):
+        remap_qubits(c, {0: 1})  # qubit 1 has no image
+    with pytest.raises(ValueError, match="unmapped"):
+        remap_qubits(c, [1])
 
 
 def test_gate_invariants():
@@ -172,3 +191,25 @@ def test_loads_rejects_garbage():
         loads("QUBITS 0\n")
     with pytest.raises(ValueError):
         loads("QUBITS 2\nQUBITS 2\nCX 0 1\n")
+
+
+def test_dumps_keeps_signed_zeros():
+    c = Circuit(1)
+    c.u(0, 0.0)
+    c.extend(inverse(c).gates)
+    text = dumps(c)
+    assert text == "QUBITS 1\nU 0 0 0 0 0\nU 0 -0 -0 -0 -0\n"
+    back = loads(text)
+    assert back.gates == c.gates
+    assert dumps(back) == text  # == cannot tell 0.0 from -0.0; the text can
+
+
+def test_loads_checks_every_distinct_line_and_shares_repeats():
+    with pytest.raises(ValueError, match="U takes a qubit"):
+        loads("QUBITS 2\nU 0 1 2 3\nU 0 1 2 3\n")
+    with pytest.raises(ValueError, match="outside"):
+        loads("QUBITS 2\nCX 0 9\nCX 0 9\n")
+    back = loads("QUBITS 2\nCX 0 1\nU 1 0.5 0 0 0\nCX 0 1\nU 1 0.5 0 0 0\n")
+    assert back.gates[0] is back.gates[2]
+    assert back.gates[1] is back.gates[3]
+    assert back.gates == [cx_gate(0, 1), u_gate(1, 0.5)] * 2
