@@ -58,7 +58,11 @@ class Gate:
             c, t = self.qubits
             if c == t:
                 raise ValueError("cnot control equals target")
-        elif self.kind != "u":
+        elif self.kind == "u":
+            if len(self.qubits) != 1 or len(self.params) != 4:
+                raise ValueError(f"u gate takes 1 qubit and 4 parameters: "
+                                 f"{self!r}")
+        else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
 

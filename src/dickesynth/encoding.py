@@ -5,12 +5,12 @@ paper position):
 
 * unary:   qubits 0..l-1 set
 * one-hot: qubit l-1 set (l = 0 is the all-zero string)
-* binary:  (l)_2 on the low ceil(log2(k+1)) qubits
 
+u_uo converts unary to one-hot with a depth-O(log k) CNOT network.
 u_minus / u_plus subtract / add two one-hot values into a clean one-hot
-register via pattern-Toffoli waves: the Toffolis over index pairs
-1 <= r < j <= k partition into 2k-3 anti-diagonal groups (constant r+j),
-each group touching pairwise-disjoint qubits.
+register via two-control pattern-Toffoli waves: the Toffolis over index
+pairs 1 <= r < j <= k partition into 2k-3 anti-diagonal groups (constant
+r+j), each group touching pairwise-disjoint qubits.
 """
 
 from __future__ import annotations
@@ -21,17 +21,11 @@ from .circuit import Circuit
 from .primitives import fanout_copy, parity_add, toffoli
 
 __all__ = [
-    "binary_width",
     "u_uo",
-    "u_ob",
     "u_minus",
     "u_plus",
     "wave_schedule",
 ]
-
-
-def binary_width(k: int) -> int:
-    return max(1, math.ceil(math.log2(k + 1)))
 
 
 def _suffix_scan_cnots(reg: list) -> list:
@@ -66,64 +60,6 @@ def u_uo(reg, circuit: Circuit | None = None,
     for ctrl, targ in reversed(_suffix_scan_cnots(reg)):
         circuit.cx(ctrl, targ)
     return circuit
-
-
-def u_ob(reg, ancilla, circuit: Circuit | None = None,
-         num_qubits: int | None = None) -> Circuit:
-    """One-hot -> binary on a width-k register, using N >= 2k clean
-    ancilla: (1) fan each one-hot bit i into the binary bits of (i)_2 on a
-    scratch register, (2) swap scratch and input, (3) erase the leftover
-    one-hot copy with batched pattern-Toffolis controlled on fanned-out
-    copies of the binary value."""
-    reg = list(reg)
-    anc = list(ancilla)
-    k = len(reg)
-    if len(anc) < 2 * k:
-        raise ValueError("u_ob needs at least 2k ancilla")
-    if set(reg) & set(anc):
-        raise ValueError("register overlaps ancilla")
-    c_w = binary_width(k)
-    if circuit is None:
-        nq = num_qubits if num_qubits is not None else max(reg + anc) + 1
-        circuit = Circuit(nq)
-    c = circuit
-    scratch = anc[:k]
-    rest = anc[k:]
-    # each parallel erase unit carries its own c_w-bit pattern copy plus the
-    # c_w-1 clean qubits its log-depth AND-tree needs, so units never contend
-    unit = c_w + max(c_w - 1, 0)
-    # more than k parallel erase units is pure overhead: one round suffices
-    p = min(max(len(rest) // unit, 1), k)
-    blocks = [rest[b * unit:b * unit + c_w] for b in range(p)]
-    trees = [rest[b * unit + c_w:(b + 1) * unit] for b in range(p)]
-    if len(rest) < unit:  # minimal pool: lone block, staircase fallback
-        blocks = [rest[:c_w]]
-        trees = [rest[c_w:]]
-    # (1) t_j = XOR of one-hot bits whose index has binary bit j set
-    for j in range(c_w):
-        sources = [reg[i - 1] for i in range(1, k + 1) if (i >> j) & 1]
-        parity_add(sources, scratch[j], circuit=c)
-    # (2) move binary into the register, one-hot into scratch
-    for j in range(k):
-        c.swap(reg[j], scratch[j])
-    # (3) erase one-hot: flip scratch[i-1] iff binary == i, batched over
-    # fanned-out copies of the binary value
-    fan = fanout_copy(reg[:c_w], blocks, num_qubits=c.num_qubits)
-    c.extend(fan.gates)
-    for start in range(0, k, p):
-        batch = range(start + 1, min(start + p, k) + 1)
-        for b, i in enumerate(batch):
-            pattern = "".join("1" if (i >> j) & 1 else "0" for j in range(c_w))
-            if len(trees[b]) >= max(c_w - 1, 0):
-                toffoli(blocks[b], scratch[i - 1], pattern,
-                        ancilla=trees[b], circuit=c)
-            else:
-                toffoli(blocks[b], scratch[i - 1], pattern, circuit=c,
-                        borrow=trees[b])
-    # uncopy: the doubling tree is not an involution (copies feed copies),
-    # so run it backwards
-    c.extend(reversed(fan.gates))
-    return c
 
 
 def wave_schedule(k: int, variant: str = "minus") -> list:

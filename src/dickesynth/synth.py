@@ -6,7 +6,7 @@ ones occupying qubits 0..l-1:
 
 * ``synth_alltoall``: recursive halving on unrestricted connectivity. Each
   block size takes whichever of the ladder, the ancilla-accelerated divide
-  (borrowing the block's own idle qubits) and the conveyor divide gives the
+  (run on the block's own idle qubits) and the conveyor divide gives the
   shallowest block.
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
   when the grid is tall enough (k >= n2/n1) and a left-to-right column-group
@@ -27,10 +27,10 @@ import numpy as np
 
 from .circuit import (Circuit, ConnectivityGraph, asap_layering, grid_index,
                       inverse, remap_qubits)
-from .encoding import binary_width, u_ob, u_plus, u_uo, u_minus
-from .primitives import cqsp_multiplexor, fanout_copy, toffoli
-from .unary import (DivideSpec, dicke_unitary_path, divide_unitary_path,
-                    hyper_weights, unary_amplitude_prep)
+from .encoding import u_minus, u_plus, u_uo
+from .primitives import build_ccx, fanout_copy, parity_add
+from .unary import (DivideSpec, _givens_block, dicke_unitary_path,
+                    divide_unitary_path, hyper_weights, unary_amplitude_prep)
 
 __all__ = [
     "PlanNode",
@@ -46,8 +46,9 @@ __all__ = [
 @dataclass(frozen=True)
 class PlanNode:
     """One divide step of a synthesis recursion. ``variant`` names the
-    divide that ran: "ancilla" (the encoding pipeline borrowing the node's
-    idle qubits) or "path" (the nearest-neighbor conveyor)."""
+    divide that ran: "ancilla" (the encoding pipeline on the node's idle
+    qubits) or "path" (the nearest-neighbor conveyor). ``depth``, ``size``
+    and ``cx`` are that divide's ASAP depth, gate count and CNOT count."""
 
     layer: int
     n_node: int
@@ -57,12 +58,13 @@ class PlanNode:
     variant: str
     depth: int
     size: int
+    cx: int
 
     def line(self) -> str:
         return (f"layer={self.layer} n={self.n_node} m={self.m_node} "
                 f"s1={list(self.s1)} s2={list(self.s2)} "
                 f"variant={self.variant} depth={self.depth} "
-                f"size={self.size}")
+                f"size={self.size} cx={self.cx}")
 
 
 @dataclass
@@ -85,13 +87,40 @@ class SynthesisPlan:
         return "\n".join(lines) + "\n"
 
 
+def _cx_count(gates) -> int:
+    return sum(1 for g in gates if g.kind == "cx")
+
+
 def _subcircuit_stats(c: Circuit, start: int) -> tuple:
-    sub = Circuit(c.num_qubits)
-    sub.gates = list(c.gates[start:])
-    return asap_layering(sub).depth, len(sub.gates)
+    """ASAP depth, size and CNOT count of c's gates from index start on."""
+    sub = Circuit(c.num_qubits, c.gates[start:])
+    return asap_layering(sub).depth, sub.size, _cx_count(sub.gates)
 
 
 # --- ancilla-accelerated divide --------------------------------------------
+
+
+def _onehot_load(c: Circuit, slots: list, weights) -> None:
+    """Spread a one on slots[0] to sum_i weights[i] |e_i> over the slots:
+    a balanced tree of Givens rotations, each moving the mass of the upper
+    half of a range from its first slot to the first slot of that half.
+    Depth ceil(log2(len(slots))) rotations. Givens rotations keep Hamming
+    weight, so an all-zero block stays all-zero with no control."""
+    mass = np.concatenate([[0.0], np.cumsum(np.asarray(weights) ** 2)])
+
+    def split(lo: int, hi: int) -> None:
+        if hi - lo < 2:
+            return
+        mid = (lo + hi + 1) // 2
+        upper = mass[hi] - mass[mid]
+        if upper > 0.0:
+            theta = math.atan2(math.sqrt(upper),
+                               math.sqrt(max(mass[mid] - mass[lo], 0.0)))
+            _givens_block(c, slots[mid], slots[lo], None, theta)
+        split(lo, mid)
+        split(mid, hi)
+
+    split(0, len(slots))
 
 
 def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
@@ -99,16 +128,23 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
     """Divide unitary D^{n,m}_k using N >= 2k clean ancilla, restored on
     exit; fewer raise ValueError.
 
-    The count is converted unary -> one-hot -> binary, the split
-    amplitudes are loaded by a controlled state preparation on a
-    log-width register, and one-hot arithmetic separates the two shares:
+    The count is converted to one-hot, the share i of S1 is loaded
+    straight into one-hot form, and one-hot arithmetic separates the two
+    shares:
 
-      (a) S2: unary l -> one-hot l -> binary l
-      (b) controlled prep of binary i on S1 with amplitudes w_i(l)
-      (c) binary -> one-hot on S1 and S2
-      (d) one-hot subtraction: scratch W <- one-hot (l-i)
-      (e) inverse one-hot addition clears S2
-      (f) swap W into S2; one-hot -> unary on S1 and S2
+      (a) S2: unary l -> one-hot l; qubit s2[l-1] is the flag of count l
+      (b) per count l, in batches of parallel rows: the flag sets slot 0
+          of an (l+1)-slot block, a Givens tree spreads it to
+          sum_i w_i(l) |e_i>, the batch's blocks are XOR-folded into S1
+          as one-hot i, and each block is erased from its flag and S1
+      (c) one-hot subtraction: scratch W <- one-hot (l-i)
+      (d) inverse one-hot addition clears S2
+      (e) swap W into S2; one-hot -> unary on S1 and S2
+
+    A row holds k+1 block slots and k-1 copies of its flag; every row of a
+    batch but the first also holds its own k-qubit copy of S1, so
+    p = 1 + (N-2k) // 3k rows run in parallel. Each batch of step (b) is
+    O(log k) deep, and there are ceil(k/p) of them.
     """
     anc = list(ancilla)
     k = spec.k
@@ -123,74 +159,77 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
     s1 = list(spec.left)
     s2 = list(spec.right)
     c = Circuit(nq)
-    cw = binary_width(k)
 
-    # (a) unary -> one-hot on S2; qubit s2[l-1] is now the flag for count l
+    # (a) unary -> one-hot on S2
     u_uo(s2, circuit=c)
 
-    # (b) controlled preparation of binary i on S1 with amplitudes w_i(l).
-    # Row states are prepared flag-gated on disjoint cw-wide ancilla
-    # blocks (all counts of a batch in parallel), then flag-controlled
-    # swaps move the selected block into S1. On the l = 0 branch no flag
-    # is set, leaving S1 = |0..0> = e_0 as required. Depth is
-    # O(ceil(k/p) * 2^cw + k), the ancilla-scaled CQSP trade-off.
-    dim = 1 << cw
-    rows = np.zeros((k + 1, dim))
-    for ell in range(1, k + 1):
-        w = hyper_weights(spec.n, spec.m, k, ell)
-        rows[ell, :k + 1] = w
-        rows[ell] /= np.linalg.norm(rows[ell])
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    # each batch unit holds a cw-wide row block plus a cw-wide copy of the
-    # loaded binary value feeding its erase Toffolis
-    unit = 2 * cw
-    p = max(1, min(k, len(anc) // unit))
-    blocks = [anc[j * unit:j * unit + cw] for j in range(p)]
-    s1cop = [anc[j * unit + cw:(j + 1) * unit] for j in range(p)]
+    # (b) one-hot load of S1: row j of a batch holds (slots, flag copies,
+    # the S1 copy its erase Toffolis read)
+    p = min(k, 1 + (len(anc) - 2 * k) // (3 * k))
+    rows = [(anc[:k + 1], anc[k + 1:2 * k], s1)]
+    for j in range(1, p):
+        base = 3 * k * j - k
+        rows.append((anc[base:base + k + 1], anc[base + k + 1:base + 2 * k],
+                     anc[base + 2 * k:base + 3 * k]))
     for lo in range(1, k + 1, p):
         batch = list(range(lo, min(lo + p, k + 1)))
         nb = len(batch)
+        blocks, fans = [], []
         for j, ell in enumerate(batch):
-            cqsp_multiplexor([s2[ell - 1]], blocks[j],
-                             np.array([e0, rows[ell]]), circuit=c)
-        # at most one flag per basis value, so at most one block is nonzero:
-        # XOR-fold the blocks pairwise into blocks[0], add into S1, unfold
+            block = rows[j][0][:ell + 1]
+            blocks.append(block)
+            c.cx(s2[ell - 1], block[0])
+            fan = fanout_copy([s2[ell - 1]],
+                              [[q] for q in rows[j][1][:ell - 1]],
+                              num_qubits=nq)
+            c.extend(fan.gates)
+            fans.append(fan)
+            w = hyper_weights(spec.n, spec.m, k, ell)
+            _onehot_load(c, block, w[:ell + 1])
+        # at most one flag is set, so at most one block is nonzero:
+        # XOR-fold slots 1..l pairwise into the widest block (the last),
+        # add it into S1, unfold
         fold = []
         step = 1
         while step < nb:
-            for a in range(0, nb - step, 2 * step):
-                fold.extend((blocks[a + step][t], blocks[a][t])
-                            for t in range(cw))
+            for a in range(nb - 1, step - 1, -2 * step):
+                fold.extend((blocks[a - step][t], blocks[a][t])
+                            for t in range(1, batch[a - step] + 1))
             step *= 2
         for a, b in fold:
             c.cx(a, b)
-        for t in range(cw):
-            c.cx(blocks[0][t], s1[t])
+        for t in range(1, batch[-1] + 1):
+            c.cx(blocks[-1][t], s1[t - 1])
         for a, b in reversed(fold):
             c.cx(a, b)
-        # erase the active block: its bits now equal the value on S1
-        fan = fanout_copy(s1[:cw], s1cop[:nb], num_qubits=c.num_qubits)
-        c.extend(fan.gates)
+        # erase: slot 0 holds the flag unless the one sits higher; slot
+        # i >= 1 holds flag AND s1[i-1]
+        width = batch[-1]
+        s1fan = fanout_copy(s1[:width],
+                            [rows[j][2][:width] for j in range(1, nb)],
+                            num_qubits=nq)
+        c.extend(s1fan.gates)
         for j, ell in enumerate(batch):
-            for t in range(cw):
-                toffoli([s2[ell - 1], s1cop[j][t]], blocks[j][t], "11",
-                        circuit=c)
-        c.extend(reversed(fan.gates))
+            block = blocks[j]
+            parity_add(block[1:], block[0], circuit=c)
+            c.cx(s2[ell - 1], block[0])
+            flags = [s2[ell - 1]] + rows[j][1][:ell - 1]
+            for i in range(1, ell + 1):
+                build_ccx(c, flags[i - 1], rows[j][2][i - 1], block[i])
+        c.extend(reversed(s1fan.gates))
+        for fan in fans:
+            c.extend(reversed(fan.gates))
 
-    # (c) binary -> one-hot on S1
-    c.extend(inverse(u_ob(s1, anc, num_qubits=nq)).gates)
-
-    # (d) scratch <- one-hot (l - i)
+    # (c) scratch <- one-hot (l - i)
     scratch = anc[:k]
     u_minus(s1, s2, scratch, ancilla=anc[k:], circuit=c)
 
-    # (e) clear the one-hot l on S2: forward addition maps
+    # (d) clear the one-hot l on S2: forward addition maps
     # (i, l-i, 0) -> (i, l-i, l), so its inverse erases S2.
     c.extend(inverse(u_plus(s1, scratch, s2, ancilla=anc[k:],
                             num_qubits=nq)).gates)
 
-    # (f) move the right share into S2 and return both to unary
+    # (e) move the right share into S2 and return both to unary
     for j in range(k):
         c.swap(s2[j], scratch[j])
     c.extend(inverse(u_uo(s1, num_qubits=nq)).gates)
@@ -209,7 +248,7 @@ def synth_alltoall(n: int, k: int) -> tuple:
     instead finish on the linear ladder. The blocks of a layer are
     identical, so one choice is made per block size, bottom-up over the
     O(log n) sizes: the shallowest of the ladder and, when each half can
-    hold k, the divides (the ancilla pipeline borrowing the block's idle
+    hold k, the divides (the ancilla pipeline on the block's idle
     qubits when it has 2k of them, then the conveyor), a divide scored by
     its ASAP depth plus the deeper half's. The first listed wins ties.
     Depth is O(log k log(n/k) + k)."""
@@ -218,7 +257,7 @@ def synth_alltoall(n: int, k: int) -> tuple:
     g = ConnectivityGraph.complete(n)
     plan = SynthesisPlan(g, n, k)
     c = Circuit(n)
-    # block size -> (score, variant, template, template depth)
+    # block size -> (score, variant, template, template depth, its CNOTs)
     chosen: dict = {}
 
     def choose(nn: int) -> tuple:
@@ -247,11 +286,12 @@ def synth_alltoall(n: int, k: int) -> tuple:
                   for variant, t, below in options]
         depth, variant, template, below = min(scored,
                                               key=lambda o: o[0] + o[3])
-        chosen[nn] = (depth + below, variant, template, depth)
+        chosen[nn] = (depth + below, variant, template, depth,
+                      _cx_count(template.gates))
         return chosen[nn]
 
     def rec(base: int, nn: int, layer: int) -> None:
-        _, variant, template, depth = choose(nn)
+        _, variant, template, depth, cx = choose(nn)
         # remap_qubits checks the offset map once, not each gate
         shift = range(base, base + nn)
         c.gates.extend(remap_qubits(template, shift, n).gates)
@@ -262,7 +302,8 @@ def synth_alltoall(n: int, k: int) -> tuple:
         s2 = tuple(range(base, base + k))
         s1 = tuple(range(base + half, base + half + k))
         plan.recursion_tree.append(PlanNode(layer, nn, nn - half, s1, s2,
-                                            variant, depth, template.size))
+                                            variant, depth, template.size,
+                                            cx))
         rec(base, half, layer + 1)
         rec(base + half, nn - half, layer + 1)
 
@@ -393,10 +434,10 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         start = len(c.gates)
         c.extend(divide_unitary_path(spec).gates)
         _route_block(c, c0, cmid, w, k, n1)
-        depth, size = _subcircuit_stats(c, start)
         plan.recursion_tree.append(PlanNode(layer, n1 * (c1 - c0),
                                             n1 * (c1 - cmid), tuple(s1),
-                                            tuple(s2), "path", depth, size))
+                                            tuple(s2), "path",
+                                            *_subcircuit_stats(c, start)))
 
     if k * n1 >= n2:
         # tall case: balanced bisection over column intervals

@@ -63,7 +63,20 @@ def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
         if psi.shape != (1 << n,):
             raise ValueError("state vector dimension mismatch")
     idx = np.flatnonzero(psi).astype(np.int64)
-    amp = psi[idx]
+    idx, amp = _evolve(c, idx, psi[idx])
+    norm = np.linalg.norm(amp)
+    if abs(norm - 1.0) > 1e-9:
+        raise RuntimeError(f"simulation lost normalization: |psi| = {norm}")
+    out = np.zeros(1 << n, dtype=complex)
+    out[idx] = amp
+    return out
+
+
+def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray) -> tuple:
+    """simulate's kernel: apply c to the state with amplitudes amp on the
+    int64 basis indices idx, returning the new support and amplitudes.
+    It never builds a 2^n vector, so it runs on up to 62 qubits while
+    the support stays small."""
     for g in c.gates:
         if g.kind == "cx":
             ctrl, targ = g.qubits
@@ -80,12 +93,7 @@ def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
         idx = (pairs[:, None] | np.array([0, bit], dtype=np.int64)).ravel()
         keep = np.abs(amp) > 1e-14
         idx, amp = idx[keep], amp[keep]
-    norm = np.linalg.norm(amp)
-    if abs(norm - 1.0) > 1e-9:
-        raise RuntimeError(f"simulation lost normalization: |psi| = {norm}")
-    out = np.zeros(1 << n, dtype=complex)
-    out[idx] = amp
-    return out
+    return idx, amp
 
 
 def dicke_reference(n: int, ell: int) -> np.ndarray:

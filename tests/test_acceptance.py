@@ -15,7 +15,7 @@ import pytest
 
 from dickesynth.circuit import (ConnectivityGraph, asap_layering,
                                 validate_connectivity)
-from dickesynth.encoding import u_minus, u_ob, u_plus, u_uo, wave_schedule
+from dickesynth.encoding import u_minus, u_plus, u_uo, wave_schedule
 from dickesynth.lightcone import audit_lower_bound
 from dickesynth.synth import (divide_unitary_ancilla, prepare_symmetric,
                               synth_alltoall, synth_grid)
@@ -119,11 +119,6 @@ def test_criterion_03_encoding_arithmetic_exhaustive():
         c = u_uo(range(k), num_qubits=k)
         for ell in range(k + 1):
             ok &= _peak(simulate(c, unary_index(ell))) == onehot_index(ell)
-        nb = 3 * k
-        c = u_ob(range(k), range(k, nb), num_qubits=nb)
-        for ell in range(k + 1):
-            # binary result on the low bits, every ancilla back to |0>
-            ok &= _peak(simulate(c, onehot_index(ell))) == ell
     for k in range(2, 7):
         S, T, W = range(k), range(k, 2 * k), range(2 * k, 3 * k)
         cm = u_minus(S, T, W, num_qubits=3 * k)

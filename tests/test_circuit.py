@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
-                                compose, cx_gate, dumps, inverse, loads,
-                                remap_qubits, u_gate, validate_connectivity)
+from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
+                                asap_layering, compose, cx_gate, dumps,
+                                inverse, loads, remap_qubits, u_gate,
+                                validate_connectivity)
 from dickesynth.verify import fidelity, simulate
 
 
@@ -168,6 +169,12 @@ def test_gate_invariants():
     c = Circuit(2)
     with pytest.raises(ValueError):
         c.cx(0, 5)
+    # a u gate acts on one qubit with four parameters; the first would
+    # dump without qubit 1, the second as a line loads rejects
+    with pytest.raises(ValueError, match="u gate"):
+        Gate("u", (0, 1), (0.5, 0, 0, 0))
+    with pytest.raises(ValueError, match="u gate"):
+        Gate("u", (1,), (0.5,))
 
 
 def test_text_format_roundtrip_bit_exact():

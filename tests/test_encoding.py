@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dickesynth.circuit import Circuit, asap_layering, compose, inverse
-from dickesynth.encoding import (binary_width, u_minus, u_ob, u_plus, u_uo,
-                                 wave_schedule)
+from dickesynth.encoding import u_minus, u_plus, u_uo, wave_schedule
 from dickesynth.verify import simulate
 
 
@@ -63,32 +62,6 @@ def test_u_uo_log_depth():
     for k in (8, 16, 32, 64):
         d = asap_layering(u_uo(range(k), num_qubits=k)).depth
         assert d <= 2 * int(np.ceil(np.log2(k))) + 2
-
-
-# --- one-hot <-> binary -------------------------------------------------------
-
-
-@pytest.mark.parametrize("k", range(1, 7))
-def test_u_ob_exhaustive_and_ancilla_restored(k):
-    anc = list(range(k, 3 * k))
-    n = 3 * k
-    c = u_ob(range(k), anc, num_qubits=n)
-    for ell in range(k + 1):
-        out = peak(simulate(c, basis(onehot(ell, k), n)))
-        assert out == ell  # binary value on the low bits, ancilla |0>
-
-
-def test_u_ob_five_three():
-    # |00100> (one-hot 3) -> |00011> (binary 3)
-    k = 5
-    c = u_ob(range(k), range(k, 3 * k), num_qubits=3 * k)
-    assert peak(simulate(c, basis(onehot(3, k), 3 * k))) == 3
-    assert binary_width(5) == 3
-
-
-def test_u_ob_insufficient_ancilla():
-    with pytest.raises(ValueError):
-        u_ob(range(4), range(4, 10), num_qubits=10)
 
 
 # --- one-hot arithmetic -------------------------------------------------------

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
-                                dumps, remap_qubits, validate_connectivity)
+from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
+                                asap_layering, dumps, remap_qubits,
+                                validate_connectivity)
 from dickesynth.synth import (SynthesisPlan, divide_unitary_ancilla,
                               prepare_dicke, prepare_symmetric,
                               synth_alltoall, synth_grid)
 from dickesynth.unary import (DivideSpec, dicke_unitary_path,
                               divide_unitary_path, hyper_weights)
-from dickesynth.verify import dicke_reference, fidelity, simulate
+from dickesynth.verify import _evolve, dicke_reference, fidelity, simulate
 
 
 def unary_index(ell, k):
@@ -63,6 +64,95 @@ def test_divide_ancilla_matches_path_variant(n, m, k):
         assert fidelity(folded, p) > 1 - 1e-9
 
 
+def _output_support(c, index):
+    """{basis index: amplitude} of c applied to a basis input. The dense
+    simulator runs where its 2^n vector is at most 32 MB; above that, its
+    support-only kernel runs on its own."""
+    nq = c.num_qubits
+    if nq <= 21:
+        out = simulate(c, index, cap=nq)
+        idx = np.flatnonzero(out)
+        return dict(zip(idx.tolist(), out[idx]))
+    idx, amp = _evolve(c, np.array([index]), np.array([1.0 + 0j]))
+    return dict(zip(idx.tolist(), amp))
+
+
+def _ancilla_divide_error(c, spec):
+    """Largest entrywise gap between c and the divide on every unary input
+    l <= k on S2 (qubits k..2k-1), with every other qubit required back at
+    |0>."""
+    k = spec.k
+    err = 0.0
+    for ell in range(k + 1):
+        got = _output_support(c, unary_index(ell, k) << k)
+        w = hyper_weights(spec.n, spec.m, k, ell)
+        want = {unary_index(i, k) | unary_index(ell - i, k) << k: w[i]
+                for i in range(ell + 1)}
+        err = max(err, max(abs(got.get(x, 0.0) - want.get(x, 0.0))
+                           for x in got.keys() | want.keys()))
+    return err
+
+
+def _rows_budget(k, p):
+    """Ancilla count at which the one-hot load runs p rows per batch: the
+    first row takes 2k qubits, each further row 3k."""
+    return 2 * k + 3 * k * (p - 1)
+
+
+@pytest.mark.parametrize("k,p", [(k, p) for k in (2, 3, 4)
+                                 for p in (1, 2, 3) if p <= k])
+def test_divide_ancilla_one_hot_load_rows_per_batch(k, p):
+    spec = aa_spec(4 * k + 1, 2 * k, k)
+    nq = 2 * k + _rows_budget(k, p)
+    c = divide_unitary_ancilla(spec, range(2 * k, nq), num_qubits=nq)
+    assert _ancilla_divide_error(c, spec) < 1e-10
+
+
+def test_divide_ancilla_fault_in_one_row_is_caught():
+    k, p = 3, 2
+    spec = aa_spec(4 * k + 1, 2 * k, k)
+    nq = 2 * k + _rows_budget(k, p)
+    c = divide_unitary_ancilla(spec, range(2 * k, nq), num_qubits=nq)
+    assert _ancilla_divide_error(c, spec) < 1e-10
+    # the second row of the first batch holds count 2 in the 3 qubits
+    # after the first row's 2k
+    row = set(range(4 * k, 4 * k + 3))
+    at = next(i for i, g in enumerate(c.gates)
+              if g.kind == "u" and g.qubits[0] in row
+              and g.params[0] != 0.0 and not any(g.params[1:]))
+    g = c.gates[at]
+    c.gates[at] = Gate("u", g.qubits, (g.params[0] + 1e-3, *g.params[1:]))
+    assert _ancilla_divide_error(c, spec) > 1e-6
+
+
+def _top_divide(nn, k):
+    """The ancilla divide synth_alltoall places at the top of an nn-qubit
+    block, on the block's idle qubits."""
+    half = nn // 2
+    spec = DivideSpec(n=nn, m=nn - half, k=k,
+                      left=tuple(range(half, half + k)),
+                      right=tuple(range(k)))
+    idle = tuple(range(k, half)) + tuple(range(half + k, nn))
+    return divide_unitary_ancilla(spec, idle, num_qubits=nn)
+
+
+# (depth, size) of the top-level ancilla divide when it loaded S1 in
+# binary through gray-code multiplexors and converted it to one-hot
+BINARY_LOAD_DEPTH_SIZE = {(1024, 8): (331, 5553), (4096, 32): (748, 68223)}
+
+
+@pytest.mark.parametrize("nn,k", list(BINARY_LOAD_DEPTH_SIZE))
+def test_divide_ancilla_no_deeper_or_larger_than_binary_load(nn, k):
+    c = _top_divide(nn, k)
+    depth, size = BINARY_LOAD_DEPTH_SIZE[(nn, k)]
+    assert asap_layering(c).depth <= depth
+    assert c.size <= size
+
+
+def test_divide_ancilla_top_level_depth_target():
+    assert asap_layering(_top_divide(4096, 32)).depth < 400
+
+
 def test_divide_ancilla_small_budget_delegates_to_conveyor():
     # N < 2k is refused; the caller picks the conveyor itself
     k = 2
@@ -109,7 +199,7 @@ def test_plan_records_divide_variant_that_ran():
     _, plan = synth_alltoall(1024, 8)
     assert {node.variant for node in plan.recursion_tree} == {"ancilla"}
     # the conveyor is shallower than the encoding pipeline at small k
-    for n, k in [(64, 2), (128, 3)]:
+    for n, k in [(64, 2), (256, 2)]:
         _, plan = synth_alltoall(n, k)
         assert plan.recursion_tree
         assert {node.variant for node in plan.recursion_tree} == {"path"}
@@ -117,6 +207,31 @@ def test_plan_records_divide_variant_that_ran():
     _, plan = synth_grid(4, 8, 2)
     assert plan.recursion_tree
     assert all(p.variant == "path" for p in plan.recursion_tree)
+
+
+def _cx(c):
+    return sum(1 for g in c.gates if g.kind == "cx")
+
+
+@pytest.mark.parametrize("make", [lambda: synth_alltoall(256, 8),
+                                  lambda: synth_alltoall(64, 2),
+                                  lambda: synth_grid(8, 16, 4),
+                                  lambda: synth_grid(2, 32, 1)],
+                         ids=["alltoall-256-8", "alltoall-64-2",
+                              "grid-8x16-4", "grid-2x32-1"])
+def test_plan_nodes_record_cx(make):
+    # the circuit is its divide nodes and its tail ladders laid end to end,
+    # so their CNOT counts must add up to the circuit's
+    c, plan = make()
+    tails = sum(_cx(dicke_unitary_path(len(u), min(plan.k, len(u))))
+                for u in plan.tail_units)
+    assert plan.recursion_tree
+    assert sum(node.cx for node in plan.recursion_tree) + tails == _cx(c)
+    report = plan.report()
+    for node in plan.recursion_tree:
+        assert 0 < node.cx < node.size
+        assert node.line().endswith(f"size={node.size} cx={node.cx}")
+        assert node.line() in report
 
 
 def _alltoall_every_ladder(n, k):
@@ -319,13 +434,13 @@ DUMPS_SHA256 = {
         "fbc71adce11a4f067ce7cb73ceb31014a44b448904559bf34b6d4daf7de78d01"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "7acbadc66254951e4368133e567bfe1e1ad93f9de38298c8e10fb7a513121d5f"),
+        "4d9aab11f62dc376422889f7d2681955cecb104ca3558e833c3d57f44791edc8"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "6dbcda19058ef35469c91512023810418e460e488dfd8563d64f859814f8f6b1"),
+        "bc833cc2b26f07c668c173a484760994c33bcedb6e8d40060af943cc9e804a25"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "30b93b5808cbce585ad95a75116b72594ab19a22321977ba66d7a4fda27c71a0"),
+        "d90443ec34622183d6b8363f26f9d41063c8db0221f274713a44a8afc2b49ab0"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
         "d714f003770cd9b16b5a4217c8cebb8a7e5fd968daeed85c1a4a4bec7a8bdf49"),
