@@ -22,7 +22,7 @@ from .circuit import (
     validate_connectivity,
     x_gate,
 )
-from .encoding import u_minus, u_plus, u_uo, wave_schedule
+from .encoding import u_uo
 from .lightcone import (
     AuditReport,
     LightConeGraph,
@@ -31,7 +31,7 @@ from .lightcone import (
     build_lightcone,
     reachable,
 )
-from .primitives import fanout_copy, parity_add, toffoli
+from .primitives import fanout_copy
 from .synth import (
     SynthesisPlan,
     divide_unitary_ancilla,

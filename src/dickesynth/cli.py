@@ -188,7 +188,11 @@ def cmd_bench(args) -> int:
         raise _UsageError("bench --topology takes one name: complete, path "
                           "or grid (give grid rows with --rows)")
     topology = args.topology[0]
-    if topology == "grid" and args.rows < 1:
+    if topology != "grid" and args.rows is not None:
+        raise _UsageError("--rows applies only to grid benches, "
+                          f"not {topology}")
+    n_rows = 1 if args.rows is None else args.rows
+    if n_rows < 1:
         raise _UsageError("--rows must be positive for grid benches")
     ns = _parse_range(args.n_range)
     ks = _parse_range(args.k_range)
@@ -204,9 +208,9 @@ def cmd_bench(args) -> int:
             elif topology == "path":
                 n1, n2, dims = 1, n, n
             else:
-                if n % args.rows:
+                if n % n_rows:
                     continue
-                n1, n2 = args.rows, n // args.rows
+                n1, n2 = n_rows, n // n_rows
                 if n1 > n2:
                     continue
                 dims = (n1, n2)
@@ -275,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", nargs="+", required=True)
     p.add_argument("--n-range", default="", metavar="LO..HI|A,B,C")
     p.add_argument("--k-range", default="", metavar="LO..HI|A,B,C")
-    p.add_argument("--rows", type=int, default=1,
-                   help="row count n1 for grid benches (n2 = n / n1)")
+    p.add_argument("--rows", type=int,
+                   help="row count n1 for grid benches (n2 = n / n1; "
+                        "default 1)")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_bench)
 

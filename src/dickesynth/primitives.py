@@ -1,6 +1,5 @@
-"""Reusable sub-circuits: pattern Toffolis of up to two controls, the
-balanced CNOT parity tree, the doubling fanout copy, and the gray-code
-uniformly controlled Ry.
+"""Reusable sub-circuits: the 6-CNOT Toffoli, the doubling fanout copy,
+and the gray-code uniformly controlled Ry.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from .circuit import Circuit
 
 __all__ = [
     "build_ccx",
-    "toffoli",
-    "parity_add",
     "fanout_copy",
     "mux_ry",
 ]
@@ -52,72 +49,11 @@ def build_ccx(c: Circuit, a: int, b: int, t: int) -> None:
     c.cx(a, b)
 
 
-def toffoli(controls, target: int, pattern: str,
-            num_qubits: int | None = None,
-            circuit: Circuit | None = None) -> Circuit:
-    """Flip `target` iff the control register equals `pattern`, for at most
-    two controls: an X, a CNOT or the 6-CNOT Toffoli. pattern[j] is the
-    required value of controls[j]; zero-controls are conjugated by X.
-    Three or more controls raise ValueError."""
-    controls = list(controls)
-    if len(pattern) != len(controls):
-        raise ValueError("pattern width mismatch")
-    if len(controls) > 2:
-        raise ValueError(f"toffoli takes at most 2 controls, "
-                         f"got {len(controls)}")
-    touched = set(controls) | {target}
-    if len(touched) != len(controls) + 1:
-        raise ValueError("overlapping index sets")
-    if circuit is None:
-        nq = num_qubits if num_qubits is not None else max(touched) + 1
-        circuit = Circuit(nq)
-    c = circuit
-    zeros = [q for q, b in zip(controls, pattern) if b == "0"]
-    for q in zeros:
-        c.x(q)
-    if not controls:
-        c.x(target)
-    elif len(controls) == 1:
-        c.cx(controls[0], target)
-    else:
-        build_ccx(c, controls[0], controls[1], target)
-    for q in zeros:
-        c.x(q)
-    return c
-
-
-def parity_add(sources, target: int, num_qubits: int | None = None,
-               circuit: Circuit | None = None) -> Circuit:
-    """target ^= XOR of sources via a balanced CNOT tree plus uncomputation;
-    sources are restored. Depth O(log |sources|)."""
-    src = list(sources)
-    if target in src:
-        raise ValueError("target overlaps sources")
-    if circuit is None:
-        nq = num_qubits if num_qubits is not None else max(src + [target]) + 1
-        circuit = Circuit(nq)
-    c = circuit
-    # fold pairs: XOR accumulates leftward onto src[i] from src[i+step]
-    steps: list = []
-    step = 1
-    while step < len(src):
-        for i in range(0, len(src) - step, 2 * step):
-            steps.append((src[i + step], src[i]))
-        step *= 2
-    for a, b in steps:
-        c.cx(a, b)
-    if src:
-        c.cx(src[0], target)
-    for a, b in reversed(steps):
-        c.cx(a, b)
-    return c
-
-
-def fanout_copy(src, dst_blocks, num_qubits: int | None = None,
-                circuit: Circuit | None = None) -> Circuit:
+def fanout_copy(src, dst_blocks) -> Circuit:
     """CNOT-copy the w-wide source block into t disjoint zeroed blocks by
     doubling: every round, every block already holding the value copies to
-    one fresh block. Depth ceil(log2(t+1)) per bit column; columns parallel."""
+    one fresh block. Depth ceil(log2(t+1)) per bit column; columns parallel.
+    The circuit spans qubits 0 up to the largest index given."""
     src = list(src)
     blocks = [list(b) for b in dst_blocks]
     w = len(src)
@@ -128,10 +64,7 @@ def fanout_copy(src, dst_blocks, num_qubits: int | None = None,
         if flat & set(b):
             raise ValueError("blocks overlap")
         flat |= set(b)
-    if circuit is None:
-        nq = num_qubits if num_qubits is not None else max(flat) + 1
-        circuit = Circuit(nq)
-    c = circuit
+    c = Circuit(max(flat, default=-1) + 1)
     have = [src]
     todo = list(blocks)
     while todo:

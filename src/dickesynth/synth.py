@@ -5,12 +5,11 @@ circuit maps |0^{n-l}1^l> -> |D^n_l> for every l in [k]_0, with the l input
 ones occupying qubits 0..l-1:
 
 * ``synth_alltoall``: recursive halving on unrestricted connectivity. Each
-  block size takes whichever of the ladder, the ancilla-accelerated divide
-  (run on the block's own idle qubits) and the conveyor divide gives the
-  shallowest block.
+  block size takes whichever of the ladder and the ancilla-accelerated
+  divide (run on the block's own idle qubits) gives the shallowest block.
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
-  when the grid is tall enough (k >= n2/n1) and a left-to-right column-group
-  sweep otherwise.
+  with the conveyor divide when the grid is tall enough (k >= n2/n1) and a
+  left-to-right column-group sweep otherwise.
 * ``dicke_unitary_path`` (in :mod:`.unary`): the linear-depth ladder both of
   the above fall back to on small blocks.
 
@@ -27,8 +26,8 @@ import numpy as np
 
 from .circuit import (Circuit, ConnectivityGraph, asap_layering, grid_index,
                       inverse, remap_qubits)
-from .encoding import u_minus, u_plus, u_uo
-from .primitives import build_ccx, fanout_copy, parity_add
+from .encoding import u_uo
+from .primitives import build_ccx, fanout_copy
 from .unary import (DivideSpec, _givens_block, dicke_unitary_path,
                     divide_unitary_path, hyper_weights, unary_amplitude_prep)
 
@@ -46,9 +45,10 @@ __all__ = [
 @dataclass(frozen=True)
 class PlanNode:
     """One divide step of a synthesis recursion. ``variant`` names the
-    divide that ran: "ancilla" (the encoding pipeline on the node's idle
-    qubits) or "path" (the nearest-neighbor conveyor). ``depth``, ``size``
-    and ``cx`` are that divide's ASAP depth, gate count and CNOT count."""
+    divide that ran: "ancilla" (``divide_unitary_ancilla`` on the node's
+    idle qubits; every all-to-all node) or "path" (the nearest-neighbor
+    conveyor; every grid node). ``depth``, ``size`` and ``cx`` are that
+    divide's ASAP depth, gate count and CNOT count."""
 
     layer: int
     n_node: int
@@ -123,27 +123,47 @@ def _onehot_load(c: Circuit, slots: list, weights) -> None:
     split(0, len(slots))
 
 
+def _fold_into(c: Circuit, regs: list, target: list) -> None:
+    """target[t] ^= XOR over the registers of regs[r][t], where at most one
+    register is nonzero and each is at most as long as the last: fold them
+    pairwise into the last, CX that into target, unfold. Depth
+    2 ceil(log2 len(regs)) + 1."""
+    fold = []
+    step = 1
+    while step < len(regs):
+        for a in range(len(regs) - 1, step - 1, -2 * step):
+            fold.extend(zip(regs[a - step], regs[a]))
+        step *= 2
+    for a, b in fold:
+        c.cx(a, b)
+    for a, b in zip(regs[-1], target):
+        c.cx(a, b)
+    for a, b in reversed(fold):
+        c.cx(a, b)
+
+
 def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
                            num_qubits: int | None = None) -> Circuit:
     """Divide unitary D^{n,m}_k using N >= 2k clean ancilla, restored on
     exit; fewer raise ValueError.
 
-    The count is converted to one-hot, the share i of S1 is loaded
-    straight into one-hot form, and one-hot arithmetic separates the two
-    shares:
+    The count goes to one-hot, and each count l loads the joint
+    (i, l-i) straight into one-hot S1 and S2:
 
       (a) S2: unary l -> one-hot l; qubit s2[l-1] is the flag of count l
-      (b) per count l, in batches of parallel rows: the flag sets slot 0
-          of an (l+1)-slot block, a Givens tree spreads it to
-          sum_i w_i(l) |e_i>, the batch's blocks are XOR-folded into S1
-          as one-hot i, and each block is erased from its flag and S1
-      (c) one-hot subtraction: scratch W <- one-hot (l-i)
-      (d) inverse one-hot addition clears S2
-      (e) swap W into S2; one-hot -> unary on S1 and S2
+      (b) per count l, in batches of parallel rows: a Givens tree spreads
+          the one on the block [s2[l-1], l-1 middle slots, s1[l-1]] to
+          sum_i w_i(l) |e_i>; middle slot a is XOR-folded into s1[a-1]
+          and s2[l-a-1], then erased by a Toffoli on copies of those two
+          qubits, since the pair (a, l-a) names the row
+      (c) one-hot -> unary on S1 and S2
 
-    A row holds k+1 block slots and k-1 copies of its flag; every row of a
-    batch but the first also holds its own k-qubit copy of S1, so
-    p = 1 + (N-2k) // 3k rows run in parallel. Each batch of step (b) is
+    Rows run in increasing l, so a row's block is all-zero when its tree
+    runs unless that row holds the count; Givens rotations keep Hamming
+    weight, so an all-zero block needs no control. The first row of a
+    batch takes k-1 middle slots and reads S1 and S2 directly; every
+    further row also holds its own k-qubit copies of S1 and S2, so
+    p = 1 + (N-k+1) // (3k-1) rows run in parallel. Each batch is
     O(log k) deep, and there are ceil(k/p) of them.
     """
     anc = list(ancilla)
@@ -161,79 +181,41 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
     c = Circuit(nq)
 
     # (a) unary -> one-hot on S2
-    u_uo(s2, circuit=c)
+    c.extend(u_uo(s2).gates)
 
-    # (b) one-hot load of S1: row j of a batch holds (slots, flag copies,
-    # the S1 copy its erase Toffolis read)
-    p = min(k, 1 + (len(anc) - 2 * k) // (3 * k))
-    rows = [(anc[:k + 1], anc[k + 1:2 * k], s1)]
+    # (b) row j of a batch holds (middle slots, the S1 and S2 copies its
+    # erase Toffolis read)
+    p = min(k, 1 + (len(anc) - k + 1) // (3 * k - 1))
+    rows = [(anc[:k - 1], s1, s2)]
     for j in range(1, p):
-        base = 3 * k * j - k
-        rows.append((anc[base:base + k + 1], anc[base + k + 1:base + 2 * k],
-                     anc[base + 2 * k:base + 3 * k]))
+        base = (3 * k - 1) * j - 2 * k
+        rows.append((anc[base:base + k - 1],
+                     anc[base + k - 1:base + 2 * k - 1],
+                     anc[base + 2 * k - 1:base + 3 * k - 1]))
     for lo in range(1, k + 1, p):
         batch = list(range(lo, min(lo + p, k + 1)))
-        nb = len(batch)
-        blocks, fans = [], []
+        mids = [rows[j][0][:ell - 1] for j, ell in enumerate(batch)]
+        for ell, mid in zip(batch, mids):
+            _onehot_load(c, [s2[ell - 1], *mid, s1[ell - 1]],
+                         hyper_weights(spec.n, spec.m, k, ell)[:ell + 1])
+        # at most one block is nonzero; slot a of row l goes to s1[a-1]
+        # and to s2[l-a-1]
+        _fold_into(c, mids, s1)
+        _fold_into(c, [mid[::-1] for mid in mids], s2)
+        width = batch[-1] - 1
+        fan = fanout_copy(s1[:width] + s2[:width],
+                          [rows[j][1][:width] + rows[j][2][:width]
+                           for j in range(1, len(batch))])
+        c.extend(fan.gates)
         for j, ell in enumerate(batch):
-            block = rows[j][0][:ell + 1]
-            blocks.append(block)
-            c.cx(s2[ell - 1], block[0])
-            fan = fanout_copy([s2[ell - 1]],
-                              [[q] for q in rows[j][1][:ell - 1]],
-                              num_qubits=nq)
-            c.extend(fan.gates)
-            fans.append(fan)
-            w = hyper_weights(spec.n, spec.m, k, ell)
-            _onehot_load(c, block, w[:ell + 1])
-        # at most one flag is set, so at most one block is nonzero:
-        # XOR-fold slots 1..l pairwise into the widest block (the last),
-        # add it into S1, unfold
-        fold = []
-        step = 1
-        while step < nb:
-            for a in range(nb - 1, step - 1, -2 * step):
-                fold.extend((blocks[a - step][t], blocks[a][t])
-                            for t in range(1, batch[a - step] + 1))
-            step *= 2
-        for a, b in fold:
-            c.cx(a, b)
-        for t in range(1, batch[-1] + 1):
-            c.cx(blocks[-1][t], s1[t - 1])
-        for a, b in reversed(fold):
-            c.cx(a, b)
-        # erase: slot 0 holds the flag unless the one sits higher; slot
-        # i >= 1 holds flag AND s1[i-1]
-        width = batch[-1]
-        s1fan = fanout_copy(s1[:width],
-                            [rows[j][2][:width] for j in range(1, nb)],
-                            num_qubits=nq)
-        c.extend(s1fan.gates)
-        for j, ell in enumerate(batch):
-            block = blocks[j]
-            parity_add(block[1:], block[0], circuit=c)
-            c.cx(s2[ell - 1], block[0])
-            flags = [s2[ell - 1]] + rows[j][1][:ell - 1]
-            for i in range(1, ell + 1):
-                build_ccx(c, flags[i - 1], rows[j][2][i - 1], block[i])
-        c.extend(reversed(s1fan.gates))
-        for fan in fans:
-            c.extend(reversed(fan.gates))
+            for a in range(1, ell):
+                build_ccx(c, rows[j][1][a - 1], rows[j][2][ell - a - 1],
+                          mids[j][a - 1])
+        c.extend(reversed(fan.gates))
 
-    # (c) scratch <- one-hot (l - i)
-    scratch = anc[:k]
-    u_minus(s1, s2, scratch, ancilla=anc[k:], circuit=c)
-
-    # (d) clear the one-hot l on S2: forward addition maps
-    # (i, l-i, 0) -> (i, l-i, l), so its inverse erases S2.
-    c.extend(inverse(u_plus(s1, scratch, s2, ancilla=anc[k:],
-                            num_qubits=nq)).gates)
-
-    # (e) move the right share into S2 and return both to unary
-    for j in range(k):
-        c.swap(s2[j], scratch[j])
-    c.extend(inverse(u_uo(s1, num_qubits=nq)).gates)
-    c.extend(inverse(u_uo(s2, num_qubits=nq)).gates)
+    # (c) both shares back to unary
+    c.extend(inverse(u_uo(s1)).gates)
+    c.extend(inverse(u_uo(s2)).gates)
     return c
 
 
@@ -247,11 +229,10 @@ def synth_alltoall(n: int, k: int) -> tuple:
     half its share of the count, then each half recurses; a block may
     instead finish on the linear ladder. The blocks of a layer are
     identical, so one choice is made per block size, bottom-up over the
-    O(log n) sizes: the shallowest of the ladder and, when each half can
-    hold k, the divides (the ancilla pipeline on the block's idle
-    qubits when it has 2k of them, then the conveyor), a divide scored by
-    its ASAP depth plus the deeper half's. The first listed wins ties.
-    Depth is O(log k log(n/k) + k)."""
+    O(log n) sizes: the shallowest of the ladder and, when the block has
+    2k idle qubits, the ancilla divide on them, scored by its ASAP depth
+    plus the deeper half's. The ladder wins ties. Depth is
+    O(log k log(n/k) + k)."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
@@ -264,18 +245,16 @@ def synth_alltoall(n: int, k: int) -> tuple:
         if nn in chosen:
             return chosen[nn]
         half = nn // 2
+        idle = tuple(range(k, half)) + tuple(range(half + k, nn))
         options = []          # (variant, template, depth of the halves)
-        if half >= k:
+        if len(idle) >= 2 * k:    # so each half can hold the count
             spec = DivideSpec(n=nn, m=nn - half, k=k,
                               left=tuple(range(half, half + k)),
                               right=tuple(range(k)))
-            idle = tuple(range(k, half)) + tuple(range(half + k, nn))
             low, high = choose(half), choose(nn - half)
             below = max(low[0], high[0])
-            if len(idle) >= 2 * k:
-                options.append(("ancilla", divide_unitary_ancilla(
-                    spec, idle, num_qubits=nn), below))
-            options.append(("path", divide_unitary_path(spec), below))
+            options.append(("ancilla", divide_unitary_ancilla(
+                spec, idle, num_qubits=nn), below))
         # the block's ladder is about twice as deep as a half's; where a
         # half beat its own ladder, the block's has lost at every size
         # tried, so it is only built where no divide fits or both halves

@@ -221,6 +221,25 @@ def test_bench_topology_takes_only_a_name(tokens, capsys):
     assert captured.out == "" and "--rows" in captured.err
 
 
+@pytest.mark.parametrize("topology", ["complete", "path"])
+def test_bench_rows_only_for_grid(topology, capsys):
+    assert run(["bench", "--topology", topology, "--rows", "4",
+                "--n-range", "8", "--k-range", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--rows" in captured.err
+
+
+def test_bench_grid_without_rows_is_one_row(capsys):
+    argv = ["bench", "--topology", "grid", "--n-range", "8,16",
+            "--k-range", "2"]
+    assert run(argv) == 0
+    default_out = capsys.readouterr().out
+    assert run(argv + ["--rows", "1"]) == 0
+    assert capsys.readouterr().out == default_out
+    assert all(line.split(",")[1] == "1"
+               for line in default_out.splitlines()[1:])
+
+
 def test_bench_bad_range():
     for text in ["abc", "4..x", "x..8", "1..2..4"]:
         assert run(["bench", "--topology", "complete", "--n-range",

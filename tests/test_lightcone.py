@@ -166,7 +166,7 @@ def _hadamards(n):
 # byte for byte
 AUDIT_DIGESTS = [
     (lambda: prepare_dicke("complete", 64, 4), ConnectivityGraph.complete(64),
-     "dcb40abedc540c9191967f40fd7888da717457b185c35593975abe251025744f"),
+     "c7c0e75d68faeaf793c8e032aa8fb1898ae8d9f84310e77c0dd9ef4bfc185c35"),
     (lambda: prepare_dicke("complete", 2, 1), ConnectivityGraph.complete(2),
      "219fc40ba184a3ee3a684a39f25d770c121f64dad3e63d336d4d7b1d41cc2bc7"),
     (lambda: Circuit(1), ConnectivityGraph.complete(1),

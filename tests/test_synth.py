@@ -95,11 +95,12 @@ def _ancilla_divide_error(c, spec):
 
 def _rows_budget(k, p):
     """Ancilla count at which the one-hot load runs p rows per batch: the
-    first row takes 2k qubits, each further row 3k."""
-    return 2 * k + 3 * k * (p - 1)
+    first row takes k-1 middle slots, each further row 3k-1 qubits (its
+    slots and two k-qubit copies), and no divide takes fewer than 2k."""
+    return max(2 * k, (k - 1) + (3 * k - 1) * (p - 1))
 
 
-@pytest.mark.parametrize("k,p", [(k, p) for k in (2, 3, 4)
+@pytest.mark.parametrize("k,p", [(k, p) for k in (1, 2, 3, 4, 5)
                                  for p in (1, 2, 3) if p <= k])
 def test_divide_ancilla_one_hot_load_rows_per_batch(k, p):
     spec = aa_spec(4 * k + 1, 2 * k, k)
@@ -114,9 +115,9 @@ def test_divide_ancilla_fault_in_one_row_is_caught():
     nq = 2 * k + _rows_budget(k, p)
     c = divide_unitary_ancilla(spec, range(2 * k, nq), num_qubits=nq)
     assert _ancilla_divide_error(c, spec) < 1e-10
-    # the second row of the first batch holds count 2 in the 3 qubits
-    # after the first row's 2k
-    row = set(range(4 * k, 4 * k + 3))
+    # the second row of the first batch holds count 2; its middle slots
+    # follow the first row's k-1
+    row = set(range(3 * k - 1, 4 * k - 2))
     at = next(i for i, g in enumerate(c.gates)
               if g.kind == "u" and g.qubits[0] in row
               and g.params[0] != 0.0 and not any(g.params[1:]))
@@ -150,11 +151,16 @@ def test_divide_ancilla_no_deeper_or_larger_than_binary_load(nn, k):
 
 
 def test_divide_ancilla_top_level_depth_target():
-    assert asap_layering(_top_divide(4096, 32)).depth < 400
+    assert asap_layering(_top_divide(4096, 32)).depth < 120
+
+
+def test_alltoall_depth_target():
+    c, _ = synth_alltoall(1024, 8)
+    assert asap_layering(c).depth < 1100
 
 
 def test_divide_ancilla_small_budget_delegates_to_conveyor():
-    # N < 2k is refused; the caller picks the conveyor itself
+    # N < 2k is refused; synth_alltoall gives such a block the ladder
     k = 2
     spec = aa_spec(6, 3, k)
     with pytest.raises(ValueError):
@@ -196,14 +202,13 @@ def test_alltoall_plan_structure():
 
 
 def test_plan_records_divide_variant_that_ran():
-    _, plan = synth_alltoall(1024, 8)
-    assert {node.variant for node in plan.recursion_tree} == {"ancilla"}
-    # the conveyor is shallower than the encoding pipeline at small k
-    for n, k in [(64, 2), (256, 2)]:
+    # synth_alltoall divides only with the ancilla divide; the conveyor is
+    # the grid's
+    for n, k in [(64, 2), (256, 2), (1024, 8)]:
         _, plan = synth_alltoall(n, k)
         assert plan.recursion_tree
-        assert {node.variant for node in plan.recursion_tree} == {"path"}
-        assert "variant=path" in plan.report()
+        assert {node.variant for node in plan.recursion_tree} == {"ancilla"}
+        assert "variant=ancilla" in plan.report()
     _, plan = synth_grid(4, 8, 2)
     assert plan.recursion_tree
     assert all(p.variant == "path" for p in plan.recursion_tree)
@@ -431,16 +436,16 @@ def test_prepare_symmetric_rejects_unnormalized():
 DUMPS_SHA256 = {
     "synth_alltoall(16,2)": (
         lambda: synth_alltoall(16, 2)[0],
-        "fbc71adce11a4f067ce7cb73ceb31014a44b448904559bf34b6d4daf7de78d01"),
+        "4949bf0759020c43c3c7523ed5f491b9e9c17565f86be6a2c2b1d4c1b91c86c0"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "4d9aab11f62dc376422889f7d2681955cecb104ca3558e833c3d57f44791edc8"),
+        "639ffc544360d30e3652b53c4318b6b7ea4dd06c29f0cbc8cf4a1a2e928e353d"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "bc833cc2b26f07c668c173a484760994c33bcedb6e8d40060af943cc9e804a25"),
+        "38fa4b5786b4fd0f16f9e4bb61febbc7d490f9ae166046ecad941d40682c3dc2"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "d90443ec34622183d6b8363f26f9d41063c8db0221f274713a44a8afc2b49ab0"),
+        "cff93ab4878c24ae8ca8d7e7f4b31651362e7535f7ccdcabd4961552f468ff87"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
         "d714f003770cd9b16b5a4217c8cebb8a7e5fd968daeed85c1a4a4bec7a8bdf49"),
