@@ -187,11 +187,9 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
     # erase Toffolis read)
     p = min(k, 1 + (len(anc) - k + 1) // (3 * k - 1))
     rows = [(anc[:k - 1], s1, s2)]
-    for j in range(1, p):
-        base = (3 * k - 1) * j - 2 * k
-        rows.append((anc[base:base + k - 1],
-                     anc[base + k - 1:base + 2 * k - 1],
-                     anc[base + 2 * k - 1:base + 3 * k - 1]))
+    for j in range(p - 1):
+        r = anc[k - 1 + (3 * k - 1) * j:k - 1 + (3 * k - 1) * (j + 1)]
+        rows.append((r[:k - 1], r[k - 1:2 * k - 1], r[2 * k - 1:]))
     for lo in range(1, k + 1, p):
         batch = list(range(lo, min(lo + p, k + 1)))
         mids = [rows[j][0][:ell - 1] for j, ell in enumerate(batch)]
