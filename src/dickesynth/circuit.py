@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,29 +42,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(namedtuple("GateFields", "kind qubits params")):
     """One gate: kind 'u' (single-qubit) or 'cx' (CNOT).
 
     For 'u', qubits = (target,) and params = (theta, phi, lam, gamma).
     For 'cx', qubits = (control, target) and params = ().
+    An immutable tuple, checked once when built.
     """
 
-    kind: str
-    qubits: tuple
-    params: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "cx":
-            c, t = self.qubits
+    def __new__(cls, kind: str, qubits: tuple, params: tuple = ()):
+        self = tuple.__new__(cls, (kind, qubits, params))
+        if kind == "cx":
+            c, t = qubits
             if c == t:
                 raise ValueError("cnot control equals target")
-        elif self.kind == "u":
-            if len(self.qubits) != 1 or len(self.params) != 4:
+        elif kind == "u":
+            if len(qubits) != 1 or len(params) != 4:
                 raise ValueError(f"u gate takes 1 qubit and 4 parameters: "
                                  f"{self!r}")
         else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {kind!r}")
+        return self
 
 
 def u_gate(target: int, theta: float, phi: float = 0.0,
@@ -270,9 +271,14 @@ def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
     if pairs == [(q, q) for q in range(c.num_qubits)]:
         gates = list(c.gates)  # identity: gates are immutable, share them
     else:
-        gates = [Gate(g.kind, (perm[g.qubits[0]],) if len(g.qubits) == 1
-                      else (perm[g.qubits[0]], perm[g.qubits[1]]), g.params)
-                 for g in c.gates]
+        # The map was checked above to be injective, in range and total, so
+        # a relabelled gate keeps its kind, its parameter count and
+        # control != target: every check Gate.__new__ makes still holds,
+        # and the tuple is built without re-running them.
+        new = tuple.__new__
+        gates = [new(Gate, (kind, (perm[qs[0]],) if len(qs) == 1
+                            else (perm[qs[0]], perm[qs[1]]), params))
+                 for kind, qs, params in c.gates]
     return Circuit(nq, gates)
 
 

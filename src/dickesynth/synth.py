@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Circuit, ConnectivityGraph, asap_layering, grid_index,
-                      inverse, remap_qubits)
+from .circuit import (Circuit, ConnectivityGraph, asap_layering, compose,
+                      grid_index, inverse, remap_qubits)
 from .encoding import u_uo
 from .primitives import build_ccx, fanout_copy
 from .unary import (DivideSpec, _givens_block, dicke_unitary_path,
@@ -378,7 +378,11 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     column bisection, one nearest-neighbor divide per node followed by a
     horizontal slab move of the right share, depth O(k log(n/k) + n2).
     Wide case (k < n2/n1): left-to-right sweep over column groups of
-    capacity ~ n1 k, depth O(n2)."""
+    capacity ~ n1 k, depth O(n2).
+
+    Blocks of one shape differ only in their qubits, so each ladder length
+    and each divide's (n, m) is built once per call as a template on
+    positions 0.. and placed on a block's serpentine by remap_qubits."""
     if n1 > n2:
         raise ValueError("require n1 <= n2")
     n = n1 * n2
@@ -387,18 +391,20 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     g = ConnectivityGraph.grid(n1, n2)
     plan = SynthesisPlan(g, n, k)
     if n1 == 1:
-        c = Circuit(n)
-        c.extend(dicke_unitary_path(n2, k).gates)
         plan.tail_units.append(tuple(range(n)))
-        return c, plan
+        return dicke_unitary_path(n2, k), plan
 
     c = Circuit(n)
     w = math.ceil(k / n1)
+    ladders: dict = {}    # ladder length -> template on 0..length-1
+    divides: dict = {}    # (n, m) -> template on 0..2k-1, S2 then S1
 
     def tail(c0: int, width: int) -> None:
         snake = _slab_serpentine(c0, width, n1)
-        c.extend(dicke_unitary_path(len(snake), min(k, len(snake)),
-                                    snake).gates)
+        length = len(snake)
+        if length not in ladders:
+            ladders[length] = dicke_unitary_path(length, min(k, length))
+        c.gates.extend(remap_qubits(ladders[length], snake, n).gates)
         plan.tail_units.append(tuple(snake))
 
     def divide_step(c0: int, c1: int, cmid: int, layer: int) -> None:
@@ -406,13 +412,15 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         [cmid,c1); the right share lands on the slab register at cmid."""
         dsnake = _slab_serpentine(c0, 2 * w, n1)
         s2, s1 = dsnake[:k], dsnake[k:2 * k]
-        spec = DivideSpec(n=n1 * (c1 - c0), m=n1 * (c1 - cmid), k=k,
-                          left=tuple(s1), right=tuple(s2))
+        shape = (n1 * (c1 - c0), n1 * (c1 - cmid))
+        if shape not in divides:
+            divides[shape] = divide_unitary_path(DivideSpec(
+                n=shape[0], m=shape[1], k=k, left=tuple(range(k, 2 * k)),
+                right=tuple(range(k))))
         start = len(c.gates)
-        c.extend(divide_unitary_path(spec).gates)
+        c.gates.extend(remap_qubits(divides[shape], s2 + s1, n).gates)
         _route_block(c, c0, cmid, w, k, n1)
-        plan.recursion_tree.append(PlanNode(layer, n1 * (c1 - c0),
-                                            n1 * (c1 - cmid), tuple(s1),
+        plan.recursion_tree.append(PlanNode(layer, *shape, tuple(s1),
                                             tuple(s2), "path",
                                             *_subcircuit_stats(c, start)))
 
@@ -461,11 +469,10 @@ def prepare_dicke(topology: str, dims, k: int) -> Circuit:
     """Circuit preparing |D^n_k> from |0^n>: X gates load the k input ones
     onto qubits 0..k-1, then the topology's Dicke unitary runs."""
     unitary, _ = _synthesize(topology, dims, k)
-    c = Circuit(unitary.num_qubits)
+    load = Circuit(unitary.num_qubits)
     for q in range(k):
-        c.x(q)
-    c.extend(unitary.gates)
-    return c
+        load.x(q)
+    return compose(load, unitary)
 
 
 def _prepare_symmetric(topology: str, dims, k: int, amplitudes) -> tuple:
@@ -474,10 +481,9 @@ def _prepare_symmetric(topology: str, dims, k: int, amplitudes) -> tuple:
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise ValueError("non-normalized amplitudes")
     unitary, plan = _synthesize(topology, dims, k)
-    c = Circuit(unitary.num_qubits)
-    c.extend(unary_amplitude_prep(k, alpha).gates)
-    c.extend(unitary.gates)
-    return c, plan
+    load = remap_qubits(unary_amplitude_prep(k, alpha), range(k),
+                        unitary.num_qubits)
+    return compose(load, unitary), plan
 
 
 def prepare_symmetric(topology: str, dims, k: int, amplitudes) -> Circuit:

@@ -103,19 +103,14 @@ def _givens_block(c: Circuit, hi: int, lo: int, far: int | None,
     c.cx(hi, lo)
 
 
-def dicke_unitary_path(n: int, k: int, qubits=None) -> Circuit:
+def dicke_unitary_path(n: int, k: int) -> Circuit:
     """Unitary mapping |0^{n-l}1^l> -> |D^n_l> for every l in [k]_0, the
-    ones occupying qubits[0..l-1]. Nearest-neighbor on the qubit list."""
+    ones occupying qubits 0..l-1. Nearest-neighbor along qubits 0..n-1."""
     if k > n:
         raise ValueError("k > n")
-    if qubits is None:
-        qubits = list(range(n))
-    qubits = list(qubits)
-    if len(qubits) != n:
-        raise ValueError("qubit list length mismatch")
-    c = _PathCircuit(len(qubits))
     if n < 2 or k == 0:
-        return remap_qubits(c, qubits, max(qubits, default=-1) + 1)
+        return Circuit(n)
+    c = _PathCircuit(n)
     # sweep j acts on the top j qubits: it splits off the lowest of them
     # (amplitude sqrt(l/j) keeps the one there, sqrt((j-l)/j) shifts the
     # block up one), then the next sweep recurses on the remaining j-1
@@ -126,7 +121,7 @@ def dicke_unitary_path(n: int, k: int, qubits=None) -> Circuit:
             theta = math.acos(math.sqrt((a + 1) / j))
             far = base + a + 2 if a + 2 <= j - 1 else None
             _givens_block(c, base + a + 1, base + a, far, theta)
-    return remap_qubits(c, qubits, max(qubits, default=-1) + 1)
+    return Circuit(n, c.gates)
 
 
 def divide_unitary_path(spec: DivideSpec) -> Circuit:
@@ -220,17 +215,14 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
             c.x(q)
 
 
-def unary_amplitude_prep(k: int, amplitudes, qubits=None) -> Circuit:
-    """Prepare sum_l alpha_l |0^{k-l}1^l> from |0^k> (ones fill
-    qubits[0..l-1]); rotation chain along the path, depth O(k)."""
+def unary_amplitude_prep(k: int, amplitudes) -> Circuit:
+    """Prepare sum_l alpha_l |0^{k-l}1^l> from |0^k> (ones fill qubits
+    0..l-1); rotation chain along the path, depth O(k)."""
     alpha = np.asarray(amplitudes, dtype=complex)
     if alpha.shape != (k + 1,):
         raise ValueError("need k+1 amplitudes")
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise ValueError("non-normalized amplitudes")
-    if qubits is None:
-        qubits = list(range(k))
-    qubits = list(qubits)
     c = _PathCircuit(k)
     mags2 = np.abs(alpha) ** 2
     residual = np.concatenate([np.cumsum(mags2[::-1])[::-1], [0.0]])
@@ -254,4 +246,4 @@ def unary_amplitude_prep(k: int, amplitudes, qubits=None) -> Circuit:
     g0 = float(np.angle(alpha[0]))
     if g0 != 0.0:
         c.u(0, 0.0, 0.0, 0.0, g0)  # global phase
-    return remap_qubits(c, qubits, max(qubits, default=-1) + 1)
+    return Circuit(k, c.gates)

@@ -153,6 +153,16 @@ def test_remap_qubits():
     assert remap_qubits(c, [3, 1], num_qubits=4).gates == [cx_gate(3, 1)]
     assert remap_qubits(c, range(4, 6), num_qubits=6).gates == [cx_gate(4, 5)]
     assert remap_qubits(c, {0: 1, 1: 0}).gates == [cx_gate(1, 0)]
+    # relabelled gates skip the constructor's checks but are the same
+    # immutable Gate values as ones built directly
+    c.u(1, 0.5, 0.25, -0.5, 0.0)
+    out = remap_qubits(c, [4, 2], num_qubits=5)
+    direct = [cx_gate(4, 2), u_gate(2, 0.5, 0.25, -0.5, 0.0)]
+    assert out.gates == direct
+    for g, d in zip(out.gates, direct):
+        assert type(g) is Gate and hash(g) == hash(d)
+        with pytest.raises(AttributeError):
+            g.kind = "u"
     with pytest.raises(ValueError):
         remap_qubits(c, {0: 1, 1: 1})
     with pytest.raises(ValueError):

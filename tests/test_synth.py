@@ -369,6 +369,27 @@ def test_grid_case2_depth_linear_in_n2():
     assert max(depths) <= 1.5 * min(depths) + 10
 
 
+def test_grid_builds_each_template_once_per_call(monkeypatch):
+    import dickesynth.synth as synth
+    built = {"ladder": 0, "divide": 0}
+
+    def counted(name, build):
+        def wrapper(*args):
+            built[name] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(synth, "dicke_unitary_path",
+                        counted("ladder", dicke_unitary_path))
+    monkeypatch.setattr(synth, "divide_unitary_path",
+                        counted("divide", divide_unitary_path))
+    for _ in range(2):  # a second call builds them again: no kept state
+        built.update(ladder=0, divide=0)
+        c, plan = synth_grid(16, 16, 4)
+        assert built == {"ladder": 1, "divide": 4}
+        assert len(plan.tail_units) == 16 and len(plan.recursion_tree) == 15
+
+
 def test_path_topology_is_one_row_grid():
     c, _ = synth_grid(1, 8, 2)
     assert validate_connectivity(c, ConnectivityGraph.path(8)) == []
@@ -455,6 +476,12 @@ DUMPS_SHA256 = {
     "synth_grid(2,32,1)": (
         lambda: synth_grid(2, 32, 1)[0],
         "cdcf08a57b5ec51bada2d4b00cd32616a3e33639cdb87cc43d67f01dba46aa56"),
+    "synth_grid(16,16,8)": (
+        lambda: synth_grid(16, 16, 8)[0],
+        "f9280a27f7bbaaeac70b9122e4b84f7308094850571ed0ecaf1af127e1bc2b69"),
+    "synth_grid(4,64,2)": (
+        lambda: synth_grid(4, 64, 2)[0],
+        "336888967a6655bc4311b5666d9f1d275010d09cb71c7f805b5762633fb5264c"),
     "dicke_unitary_path(64,4)": (
         lambda: dicke_unitary_path(64, 4),
         "4341dada7e8f8f4eab9aae25360b3a412150e9aa9e41c5b3a4632d4d7a49bb5f"),
