@@ -48,7 +48,8 @@ class PlanNode:
     divide that ran: "ancilla" (``divide_unitary_ancilla`` on the node's
     idle qubits; every all-to-all node) or "path" (the nearest-neighbor
     conveyor; every grid node). ``depth``, ``size`` and ``cx`` are that
-    divide's ASAP depth, gate count and CNOT count."""
+    divide's ASAP depth, gate count and CNOT count; a grid node's cover the
+    divide and the slab route that follows it."""
 
     layer: int
     n_node: int
@@ -89,12 +90,6 @@ class SynthesisPlan:
 
 def _cx_count(gates) -> int:
     return sum(1 for g in gates if g.kind == "cx")
-
-
-def _subcircuit_stats(c: Circuit, start: int) -> tuple:
-    """ASAP depth, size and CNOT count of c's gates from index start on."""
-    sub = Circuit(c.num_qubits, c.gates[start:])
-    return asap_layering(sub).depth, sub.size, _cx_count(sub.gates)
 
 
 # --- ancilla-accelerated divide --------------------------------------------
@@ -334,37 +329,36 @@ def _embed_moves(path: list, moves: dict) -> list:
     return dest
 
 
-def _route_block(c: Circuit, c0: int, cdst: int, w: int, k: int,
-                 n1: int) -> None:
-    """Move the k-cell count share from serpentine positions k..2k-1 of the
-    double slab at columns [c0, c0+2w) onto the slab-register prefix at
-    columns [cdst, cdst+w), cdst >= c0+w.
+def _route_block(c: Circuit, cdst: int, w: int, k: int, n1: int) -> None:
+    """Move the k-cell count share from qubits k..2k-1 of the double slab
+    at columns [0, 2w) onto the slab-register prefix at columns
+    [cdst, cdst+w), cdst >= w: a divide node's local frame, whose
+    grid_index order is the serpentine anchored at column 0.
 
     Two phases: a local rearrangement inside the double slab placing the
     share on the second slab's own serpentine prefix, then a horizontal
     per-row translation of that slab (rows move in parallel)."""
-    strip = _slab_serpentine(c0, 2 * w, n1)
-    slab2 = _slab_serpentine(c0 + w, w, n1)
-    pos = {v: i for i, v in enumerate(strip)}
-    moves = {k + t: pos[slab2[t]] for t in range(k)}
+    strip = range(2 * w * n1)
+    slab2 = _slab_serpentine(w, w, n1)
+    moves = {k + t: slab2[t] for t in range(k)}
     if any(s != d for s, d in moves.items()):
         if 2 * w * n1 <= 6 * k:
             _permute_on_path(c, strip, _embed_moves(strip, moves))
         else:
-            # thin slab (w == 1, n1 > 2k): share sits in column c0 rows
+            # thin slab (w == 1, n1 > 2k): share sits in column 0 rows
             # k..2k-1; one horizontal step per row, then a vertical
-            # rotation confined to the top 2k cells of column c0+1.
+            # rotation confined to the top 2k cells of column 1.
             for r in range(k, 2 * k):
-                c.swap(grid_index(r, c0, n1), grid_index(r, c0 + 1, n1))
-            col = [grid_index(r, c0 + 1, n1) for r in range(2 * k)]
+                c.swap(r, grid_index(r, 1, n1))
+            col = [grid_index(r, 1, n1) for r in range(2 * k)]
             dest = [(i + k) % (2 * k) for i in range(2 * k)]
             _permute_on_path(c, col, dest)
-    delta = cdst - (c0 + w)
+    delta = cdst - w
     if delta > 0:
         # shift the whole slab delta columns right, zeros backfilling left
         span = delta + w
         for r in range(n1):
-            row = [grid_index(r, c0 + w + t, n1) for t in range(span)]
+            row = [grid_index(r, w + t, n1) for t in range(span)]
             dest = [t + delta if t < w else t - w for t in range(span)]
             _permute_on_path(c, row, dest)
 
@@ -381,8 +375,9 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     capacity ~ n1 k, depth O(n2).
 
     Blocks of one shape differ only in their qubits, so each ladder length
-    and each divide's (n, m) is built once per call as a template on
-    positions 0.. and placed on a block's serpentine by remap_qubits."""
+    and each divide node's (n, m) is built once per call as a template and
+    placed on a block's serpentine by remap_qubits; a node's template, and
+    so its plan depth, size and CNOT count, cover the divide and its route."""
     if n1 > n2:
         raise ValueError("require n1 <= n2")
     n = n1 * n2
@@ -397,7 +392,7 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     c = Circuit(n)
     w = math.ceil(k / n1)
     ladders: dict = {}    # ladder length -> template on 0..length-1
-    divides: dict = {}    # (n, m) -> template on 0..2k-1, S2 then S1
+    divides: dict = {}    # (n, m) -> (divide + route template, its stats)
 
     def tail(c0: int, width: int) -> None:
         snake = _slab_serpentine(c0, width, n1)
@@ -410,19 +405,22 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     def divide_step(c0: int, c1: int, cmid: int, layer: int) -> None:
         """Divide the count of region [c0,c1) between [c0,cmid) and
         [cmid,c1); the right share lands on the slab register at cmid."""
-        dsnake = _slab_serpentine(c0, 2 * w, n1)
-        s2, s1 = dsnake[:k], dsnake[k:2 * k]
         shape = (n1 * (c1 - c0), n1 * (c1 - cmid))
+        span = cmid - c0 + w
         if shape not in divides:
-            divides[shape] = divide_unitary_path(DivideSpec(
+            t = Circuit(n1 * span, list(divide_unitary_path(DivideSpec(
                 n=shape[0], m=shape[1], k=k, left=tuple(range(k, 2 * k)),
-                right=tuple(range(k))))
-        start = len(c.gates)
-        c.gates.extend(remap_qubits(divides[shape], s2 + s1, n).gates)
-        _route_block(c, c0, cmid, w, k, n1)
-        plan.recursion_tree.append(PlanNode(layer, *shape, tuple(s1),
-                                            tuple(s2), "path",
-                                            *_subcircuit_stats(c, start)))
+                right=tuple(range(k)))).gates))
+            _route_block(t, span - w, w, k, n1)
+            divides[shape] = (t, asap_layering(t).depth, t.size,
+                              _cx_count(t.gates))
+        template, *stats = divides[shape]
+        # local grid_index order is the serpentine: rows stay put
+        snake = _slab_serpentine(c0, span, n1)
+        c.gates.extend(remap_qubits(template, snake, n).gates)
+        plan.recursion_tree.append(PlanNode(
+            layer, *shape, tuple(snake[k:2 * k]), tuple(snake[:k]), "path",
+            *stats))
 
     if k * n1 >= n2:
         # tall case: balanced bisection over column intervals

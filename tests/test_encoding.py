@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dickesynth.circuit import asap_layering, compose, inverse
-from dickesynth.encoding import u_uo, wave_schedule
+from dickesynth.encoding import u_uo
 from dickesynth.verify import simulate
 
 
@@ -61,28 +61,3 @@ def test_u_uo_log_depth():
         d = asap_layering(u_uo(range(k))).depth
         assert d <= 2 * int(np.ceil(np.log2(k))) + 2
 
-
-# --- wave schedule ------------------------------------------------------------
-
-
-def test_wave_schedule_counts():
-    assert len(wave_schedule(2)) == 1
-    groups = wave_schedule(5)
-    assert len(groups) == 7
-    assert sum(len(g) for g in groups) == 10  # C(5,2) pairs
-
-
-@pytest.mark.parametrize("variant", ("minus", "plus"))
-@pytest.mark.parametrize("k", range(2, 21))
-def test_wave_schedule_partition_and_disjoint(k, variant):
-    groups = wave_schedule(k, variant)
-    assert len(groups) == 2 * k - 3 if k >= 2 else 1
-    seen = set()
-    for g in groups:
-        used = set()
-        for trip in g:
-            s, t, w = trip
-            assert not {("s", s), ("t", t), ("w", w)} & used
-            used.update([("s", s), ("t", t), ("w", w)])
-            seen.add((s, t))
-    assert len(seen) == k * (k - 1) // 2

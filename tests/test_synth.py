@@ -340,7 +340,10 @@ def test_grid_smallest():
     assert fidelity(out, dicke_reference(4, 1)) > 1 - 1e-8
 
 
-@pytest.mark.parametrize("n1,n2,k", [(3, 4, 2), (2, 3, 1), (2, 7, 3)])
+# (3, 6, 2) anchors divides on odd columns 1 and 3; (4, 4, 1) takes
+# _route_block's thin-slab branch
+@pytest.mark.parametrize("n1,n2,k", [(3, 4, 2), (2, 3, 1), (2, 7, 3),
+                                     (3, 6, 2), (4, 4, 1)])
 def test_grid_case1_fidelity_and_connectivity(n1, n2, k):
     c, _ = synth_grid(n1, n2, k)
     g = ConnectivityGraph.grid(n1, n2)
@@ -371,7 +374,7 @@ def test_grid_case2_depth_linear_in_n2():
 
 def test_grid_builds_each_template_once_per_call(monkeypatch):
     import dickesynth.synth as synth
-    built = {"ladder": 0, "divide": 0}
+    built = {"ladder": 0, "divide": 0, "route": 0}
 
     def counted(name, build):
         def wrapper(*args):
@@ -383,10 +386,12 @@ def test_grid_builds_each_template_once_per_call(monkeypatch):
                         counted("ladder", dicke_unitary_path))
     monkeypatch.setattr(synth, "divide_unitary_path",
                         counted("divide", divide_unitary_path))
+    monkeypatch.setattr(synth, "_route_block",
+                        counted("route", synth._route_block))
     for _ in range(2):  # a second call builds them again: no kept state
-        built.update(ladder=0, divide=0)
+        built.update(ladder=0, divide=0, route=0)
         c, plan = synth_grid(16, 16, 4)
-        assert built == {"ladder": 1, "divide": 4}
+        assert built == {"ladder": 1, "divide": 4, "route": 4}
         assert len(plan.tail_units) == 16 and len(plan.recursion_tree) == 15
 
 
@@ -479,6 +484,12 @@ DUMPS_SHA256 = {
     "synth_grid(16,16,8)": (
         lambda: synth_grid(16, 16, 8)[0],
         "f9280a27f7bbaaeac70b9122e4b84f7308094850571ed0ecaf1af127e1bc2b69"),
+    "synth_grid(16,16,2)": (
+        lambda: synth_grid(16, 16, 2)[0],
+        "205ba4696b61baa50bfd428e2360d14eb16e41063c995cf11d1de3eeff818735"),
+    "synth_grid(3,6,2)": (
+        lambda: synth_grid(3, 6, 2)[0],
+        "c535cd70d322f957fd2e2330fa057ee952848e92f341f7fa03e6404aad39256b"),
     "synth_grid(4,64,2)": (
         lambda: synth_grid(4, 64, 2)[0],
         "336888967a6655bc4311b5666d9f1d275010d09cb71c7f805b5762633fb5264c"),
@@ -498,3 +509,25 @@ DUMPS_SHA256 = {
 def test_dumps_byte_identical(case):
     build, digest = DUMPS_SHA256[case]
     assert hashlib.sha256(dumps(build()).encode()).hexdigest() == digest
+
+
+# sha256 of plan.report(): a grid node's depth, size and CNOT count are
+# those of its divide-and-route template, and the .plan file shows them
+PLAN_REPORT_SHA256 = {
+    (16, 16, 8):
+        "a24c2bc2a455e1585ccdc0c475ab2ad77b5aa77e235ebcbe3b6137b1f7d54fcc",
+    (16, 16, 2):
+        "256d92293c9bd37a5d27824bcd674a7a8751f310c57db13dc8162ea37c31015d",
+    (4, 64, 2):
+        "1930581044438f97229a8e95806924369ba5ce5641040406b7792a8bf0e15055",
+    (3, 6, 2):
+        "e5a82c347e23af16158211318fbd65a95c7757d8480221a33c3c1ce5165a74e7",
+}
+
+
+@pytest.mark.parametrize("dims", list(PLAN_REPORT_SHA256),
+                         ids=lambda d: "x".join(map(str, d)))
+def test_grid_plan_report_pinned(dims):
+    report = synth_grid(*dims)[1].report()
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == PLAN_REPORT_SHA256[dims]
