@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dickesynth.circuit import asap_layering, compose, inverse
-from dickesynth.encoding import u_uo
+from dickesynth.encoding import u_uo, wave_schedule
 from dickesynth.verify import simulate
 
 
@@ -60,4 +60,16 @@ def test_u_uo_log_depth():
     for k in (8, 16, 32, 64):
         d = asap_layering(u_uo(range(k))).depth
         assert d <= 2 * int(np.ceil(np.log2(k))) + 2
+
+
+# --- wave schedule ------------------------------------------------------------
+
+# Group count, disjointness and exact pair coverage for k = 2..20 and both
+# variants are checked by criterion 04 in test_acceptance.py.
+
+def test_wave_schedule_counts():
+    assert len(wave_schedule(2)) == 1
+    groups = wave_schedule(5)
+    assert len(groups) == 7
+    assert sum(len(g) for g in groups) == 10  # C(5,2) pairs
 
