@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .circuit import Circuit
 
 __all__ = [
@@ -83,37 +81,40 @@ def fanout_copy(src, dst_blocks) -> Circuit:
 def mux_ry(controls, target: int, angles, circuit: Circuit) -> None:
     """Uniformly controlled Ry: apply Ry(angles[x]) to target when the
     control register holds basis value x (controls[0] = least significant).
-    Standard gray-code multiplexor: 2^c rotations and 2^c CNOTs.
+
+    Controls the table does not depend on are dropped first. On the c that
+    remain this is the gray-code multiplexor (Moettoenen et al.,
+    quant-ph/0407010): step j emits Ry(alpha_j), then one CX from the
+    control whose bit flips between gray codes g_j and g_{j+1}, with
+    g_j = j ^ (j >> 1) and alpha_j = 2^-c sum_x (-1)^popcount(x & g_j)
+    angles[x]. That is 2^c CNOTs, the top control's only 2; zero angles
+    emit no rotation, and an all-zero table emits nothing.
     """
     controls = list(controls)
-    cbits = len(controls)
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (1 << cbits,):
+    angles = [float(a) for a in angles]
+    if len(angles) != 1 << len(controls):
         raise ValueError("angle table size mismatch")
-    if cbits == 0:
-        if angles[0] != 0.0:
-            circuit.ry(target, float(angles[0]))
-        return
-    _mux_ry_rec(circuit, controls, target, angles.tolist())
-
-
-def _mux_ry_rec(c: Circuit, controls: list, target: int, angles: list) -> None:
-    if not any(angles):
-        return  # all-zero subtree: identity, nothing to emit
-    if len(controls) == 0:
-        c.ry(target, angles[0])
-        return
-    # split on the most significant control: Ry(a) controlled-on-msb
-    # = Ry((a0+a1)/2) . CX(msb,t) . Ry((a0-a1)/2) . CX(msb,t)
-    half = len(angles) // 2
-    plus = [(angles[i] + angles[half + i]) / 2.0 for i in range(half)]
-    minus = [(angles[i] - angles[half + i]) / 2.0 for i in range(half)]
-    msb = controls[-1]
-    if not any(minus):
-        # halves agree: the msb control is irrelevant
-        _mux_ry_rec(c, controls[:-1], target, plus)
-        return
-    _mux_ry_rec(c, controls[:-1], target, plus)
-    c.cx(msb, target)
-    _mux_ry_rec(c, controls[:-1], target, minus)
-    c.cx(msb, target)
+    for b in range(len(controls) - 1, -1, -1):
+        bit = 1 << b
+        low = [a for x, a in enumerate(angles) if not x & bit]
+        if low == [a for x, a in enumerate(angles) if x & bit]:
+            angles = low
+            del controls[b]
+    size = len(angles)
+    # in-place Walsh-Hadamard: angles[s] <- sum_x (-1)^popcount(x & s) angles[x]
+    step = 1
+    while step < size:
+        for lo in range(0, size, 2 * step):
+            for x in range(lo, lo + step):
+                a, b = angles[x], angles[x + step]
+                angles[x], angles[x + step] = a + b, a - b
+        step *= 2
+    for j in range(size):
+        alpha = angles[j ^ (j >> 1)] / size
+        if alpha != 0.0:
+            circuit.ry(target, alpha)
+        if controls:
+            # bit flipped from g_j to g_{j+1}: the lowest set bit of j + 1,
+            # wrapping to the top control on the last step
+            flip = ((j + 1) & -(j + 1)).bit_length() - 1
+            circuit.cx(controls[min(flip, len(controls) - 1)], target)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, remap_qubits
-from .primitives import mux_ry
+from .primitives import _h, mux_ry
 
 __all__ = [
     "DivideSpec",
@@ -86,20 +86,23 @@ def _givens_block(c: Circuit, hi: int, lo: int, far: int | None,
                   theta: float) -> None:
     """One split step of the Dicke ladder on adjacent pair (hi, lo).
 
-    Without the far control: |01> -> cos(t)|01> + sin(t)|10| on basis
-    (x_hi, x_lo), identity on |00>, |11>. With far = hi+1 present, the
-    pattern far=1 applies the pi rotation instead (moving the excitation
-    block down in one step)."""
-    c.cx(hi, lo)
+    Without the far control: |01> -> cos(t)|01> + sin(t)|10> on basis
+    (x_hi, x_lo), identity on |00>, |11>, emitted with 2 CNOTs as
+    H(lo) CX(lo, hi) Ry(t)(lo) Ry(t)(hi) CX(lo, hi) H(lo). With far = hi+1
+    present, the pattern far=1 applies the pi rotation instead (moving the
+    excitation block down in one step): 6 CNOTs."""
     if far is None:
-        # controlled Ry(2 theta) on hi, control lo
-        angles = np.array([0.0, 2.0 * theta])
-        mux_ry([lo], hi, angles, c)
-    else:
-        # controls (far, lo): (0,1) -> 2 theta, (1,1) -> pi
-        # (index bit0 = far, bit1 = lo)
-        angles = np.array([0.0, 0.0, 2.0 * theta, math.pi])
-        mux_ry([far, lo], hi, angles, c)
+        _h(c, lo)
+        c.cx(lo, hi)
+        c.ry(lo, theta)
+        c.ry(hi, theta)
+        c.cx(lo, hi)
+        _h(c, lo)
+        return
+    c.cx(hi, lo)
+    # controls (far, lo): (0,1) -> 2 theta, (1,1) -> pi
+    # (index bit0 = far, bit1 = lo)
+    mux_ry([far, lo], hi, (0.0, 0.0, 2.0 * theta, math.pi), c)
     c.cx(hi, lo)
 
 
@@ -175,44 +178,34 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
                    w2: dict) -> None:
     """Controlled Givens at a conveyor meeting: S2 cell u-1 at path position
     pos, S1 cell i at pos+1. Rotates (s2,s1) = (1,0) -> cos(1,0)+sin(0,1),
-    guarded by s1[i-1] = 1 (a one was already deposited in the previous
-    slot; omitted for i = 0) and s2[u] = 0 (no higher count bit; omitted
-    for u = k)."""
+    guarded by s2[u] = 0 (no higher count bit; omitted for u = k) and
+    s1[i-1] = 1 (a one was already deposited in the previous slot; omitted
+    for i = 0)."""
     ell = u + i
     mass = sum(w2[ell][j] for j in range(i, k + 1))
     if mass <= 0.0:
         raise AssertionError("empty residual mass; m>=k, n-m>=k violated?")
     ratio = min(w2[ell][i] / mass, 1.0)
     theta = math.acos(math.sqrt(ratio))
-    if theta == 0.0 and i == k:
-        return
     lo, hi = pos, pos + 1  # B = s2 cell, A = s1 cell
-    controls = []
-    pattern_bits = []
-    if i > 0:
-        p = pos - 1
-        assert cells[p] == ("s1", i - 1), (cells, pos, u, i)
-        controls.append(p)
-        pattern_bits.append(1)
+    # mux controls, least significant first: s2[u], lo (= s2 xor s1 after
+    # the CX), s1[i-1]. The distance-2 control s1[i-1] takes the top bit,
+    # which flips least often, so it is relayed twice.
+    controls = [lo]
+    fire = 1  # table index of s2[u] = 0, lo = 1, s1[i-1] = 1
     if u < k:
-        q = pos + 2
-        assert cells[q] == ("s2", u), (cells, pos, u, i)
-        controls.append(q)
-        pattern_bits.append(0)
-    for q, b in zip(controls, pattern_bits):
-        if b == 0:
-            c.x(q)
+        assert cells[pos + 2] == ("s2", u), (cells, pos, u, i)
+        controls.insert(0, pos + 2)
+        fire <<= 1
+    if i > 0:
+        assert cells[pos - 1] == ("s1", i - 1), (cells, pos, u, i)
+        controls.append(pos - 1)
+        fire |= 1 << (len(controls) - 1)
+    angles = [0.0] * (1 << len(controls))
+    angles[fire] = 2.0 * theta
     c.cx(hi, lo)
-    # mux over (controls..., lo): fire 2 theta only when all controls = 1
-    # and lo (= s2 xor s1 after the CX) = 1
-    mux_controls = controls + [lo]
-    angles = np.zeros(1 << len(mux_controls))
-    angles[-1] = 2.0 * theta
-    mux_ry(mux_controls, hi, angles, c)
+    mux_ry(controls, hi, angles, c)
     c.cx(hi, lo)
-    for q, b in zip(controls, pattern_bits):
-        if b == 0:
-            c.x(q)
 
 
 def unary_amplitude_prep(k: int, amplitudes) -> Circuit:

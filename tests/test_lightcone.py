@@ -166,17 +166,17 @@ def _hadamards(n):
 # byte for byte
 AUDIT_DIGESTS = [
     (lambda: prepare_dicke("complete", 64, 4), ConnectivityGraph.complete(64),
-     "c7c0e75d68faeaf793c8e032aa8fb1898ae8d9f84310e77c0dd9ef4bfc185c35"),
+     "1aca9bd39b43a8e3e3a37e7176a9d57b45268028439de962d1589306fba259e7"),
     (lambda: prepare_dicke("complete", 2, 1), ConnectivityGraph.complete(2),
-     "219fc40ba184a3ee3a684a39f25d770c121f64dad3e63d336d4d7b1d41cc2bc7"),
+     "6d25656f00d9c1d1ff34323ecdebb06c015cea2bcc1537f8b7132f295c8e359e"),
     (lambda: Circuit(1), ConnectivityGraph.complete(1),
      "80453a3e298dafc95c46c065516cd9cb47abe01a43f4a0c3ea58da4336064f58"),
     (lambda: prepare_dicke("grid", (8, 8), 4), ConnectivityGraph.grid(8, 8),
-     "df00d55b5de7eff4844043299ccb30b49147713ba9f83872c7f4cd9ba5fc5b16"),
+     "5906fa7f571f66592c33a8b73511e74c0ab2ec312326722eb6b19ea70dd031f2"),
     (lambda: prepare_dicke("grid", (2, 16), 1), ConnectivityGraph.grid(2, 16),
-     "f53e957382112a39ab799d126d5d9a2f96903acf291bffd0c8665281a51dd753"),
+     "a6f743391f468b6bcd394b730f4a2c97d48ff71f13f4ec4e71af155cf4f9b564"),
     (lambda: prepare_dicke("path", 16, 2), ConnectivityGraph.path(16),
-     "8be09e6d44c46a5657ac2322137b56b0ba21eaaa5cf2a1ee58fc9118996068f8"),
+     "3812be73210ff0307335ae820f3154cde21b9d2a43ace1466fd3d793cf6a6b12"),
     (lambda: _hadamards(16), ConnectivityGraph.complete(16),
      "d27ef54b92a8c254084b13a340ad6cd43996ad5bcf3cf9615084fe3bc563acb6"),
 ]

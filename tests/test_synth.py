@@ -462,46 +462,46 @@ def test_prepare_symmetric_rejects_unnormalized():
 DUMPS_SHA256 = {
     "synth_alltoall(16,2)": (
         lambda: synth_alltoall(16, 2)[0],
-        "4949bf0759020c43c3c7523ed5f491b9e9c17565f86be6a2c2b1d4c1b91c86c0"),
+        "b72a7572d71c4bc5ccc16daa9099dfec5c327ca077d3b6b7b84d15c244d93e7a"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "639ffc544360d30e3652b53c4318b6b7ea4dd06c29f0cbc8cf4a1a2e928e353d"),
+        "26d9e7452079640ed0599e2dec3843d27459676de28e9b6ef7e6aee6172a3f7d"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "38fa4b5786b4fd0f16f9e4bb61febbc7d490f9ae166046ecad941d40682c3dc2"),
+        "e842377180addbf3e1297cc6dffa1ca18797bf313731bace3d1db6c8b1557f04"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "cff93ab4878c24ae8ca8d7e7f4b31651362e7535f7ccdcabd4961552f468ff87"),
+        "fb4687d5929abd9c61cc797e33e0ebc738a818fbc288c8dd1d4f67f255cce2b7"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
-        "d714f003770cd9b16b5a4217c8cebb8a7e5fd968daeed85c1a4a4bec7a8bdf49"),
+        "250dc7d11120da8d8fd0fbe67c75613274a01a83dd066ab0aea937e86e0355ca"),
     "synth_grid(8,16,4)": (
         lambda: synth_grid(8, 16, 4)[0],
-        "07e8177672dfded0bc39073e9771a24f0942b3aa6e37c58f4a6d4ba5aea4b7e0"),
+        "247da6b04c1bacf2fe92922faa5954c91515ff255b21c58673b82c14db7d1813"),
     "synth_grid(2,32,1)": (
         lambda: synth_grid(2, 32, 1)[0],
-        "cdcf08a57b5ec51bada2d4b00cd32616a3e33639cdb87cc43d67f01dba46aa56"),
+        "56e86d33eab1deeacb44e0b41b5f5a9c95493399555476fdbc0345a2704e2ae5"),
     "synth_grid(16,16,8)": (
         lambda: synth_grid(16, 16, 8)[0],
-        "f9280a27f7bbaaeac70b9122e4b84f7308094850571ed0ecaf1af127e1bc2b69"),
+        "29adff80c54b03568581796011db8c7113f98143dff576d3f84a11ebb5325cee"),
     "synth_grid(16,16,2)": (
         lambda: synth_grid(16, 16, 2)[0],
-        "205ba4696b61baa50bfd428e2360d14eb16e41063c995cf11d1de3eeff818735"),
+        "9a098ef6e58e09ff2894ac2c572279c286b71f1d450707faed74055a286ca728"),
     "synth_grid(3,6,2)": (
         lambda: synth_grid(3, 6, 2)[0],
-        "c535cd70d322f957fd2e2330fa057ee952848e92f341f7fa03e6404aad39256b"),
+        "ca7c5cdd30b600c9245da4aa28202ca117a51a7907fdfe48b368e7c4f5ebbcc5"),
     "synth_grid(4,64,2)": (
         lambda: synth_grid(4, 64, 2)[0],
-        "336888967a6655bc4311b5666d9f1d275010d09cb71c7f805b5762633fb5264c"),
+        "2a8a6c09d733df596485d34178a05592a558dda162af4754a409494c2f0b703e"),
     "dicke_unitary_path(64,4)": (
         lambda: dicke_unitary_path(64, 4),
-        "4341dada7e8f8f4eab9aae25360b3a412150e9aa9e41c5b3a4632d4d7a49bb5f"),
+        "870577a43f3e56b1ae6ebcdcf6d09d61e75c105e9d68c8f32705b3c5c3046cc8"),
     "prepare_symmetric(complete,8,3)": (
         lambda: prepare_symmetric("complete", 8, 3, [0.5] * 4),
-        "7a727d84a4a91cc9b28353daf4732f4335a6ec9d299867c4e2e63fe2fa036660"),
+        "b94c7ee95b41fb6d292e3c687753652656cc8156666e91bfc6ec1d0c8f92b1b6"),
     "prepare_dicke(grid,(2,4),2)": (
         lambda: prepare_dicke("grid", (2, 4), 2),
-        "ecae1208ef65af5d2e716bfe238712b8d86d1e3259d9a0a555f40f1c4f303611"),
+        "dcb2aec1ea80c28a9ab8d5e14a2b268042201c1358309490e47946b13867ead8"),
 }
 
 
@@ -515,13 +515,13 @@ def test_dumps_byte_identical(case):
 # those of its divide-and-route template, and the .plan file shows them
 PLAN_REPORT_SHA256 = {
     (16, 16, 8):
-        "a24c2bc2a455e1585ccdc0c475ab2ad77b5aa77e235ebcbe3b6137b1f7d54fcc",
+        "51ce56a6104a6fd36927d870c0489ab866e331ee7b99e00c459830f0c75e6537",
     (16, 16, 2):
-        "256d92293c9bd37a5d27824bcd674a7a8751f310c57db13dc8162ea37c31015d",
+        "e134da530de61b880b94ba7145f9a81bdef8176bfbebc4e01995d853680f6f89",
     (4, 64, 2):
-        "1930581044438f97229a8e95806924369ba5ce5641040406b7792a8bf0e15055",
+        "e691c5b3c2919573ba510fe3c5681b426378a7cb6ea628bef41707cf3652cd14",
     (3, 6, 2):
-        "e5a82c347e23af16158211318fbd65a95c7757d8480221a33c3c1ce5165a74e7",
+        "37ca1bc3d05a06e1b15088f1dc34ef436188438b4f71df71dd7020c36fbd270b",
 }
 
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dickesynth.circuit import ConnectivityGraph, asap_layering, validate_connectivity
-from dickesynth.unary import (DivideSpec, dicke_unitary_path,
+from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
+                                validate_connectivity, x_gate)
+from dickesynth.unary import (DivideSpec, _givens_block, dicke_unitary_path,
                               divide_unitary_path, hyper_weights,
                               unary_amplitude_prep)
-from dickesynth.verify import dicke_reference, fidelity, simulate
+from dickesynth.verify import _evolve, dicke_reference, fidelity, simulate
 
 
 def unary_index(ell, n):
@@ -58,6 +59,42 @@ def test_dicke_path_connectivity_and_depth():
         assert validate_connectivity(c, ConnectivityGraph.path(n)) == []
         assert asap_layering(c).depth <= 25 * n
         assert c.size <= 12 * n * k
+
+
+def _cx_count(c):
+    return sum(g.kind == "cx" for g in c.gates)
+
+
+@pytest.mark.parametrize("theta", [0.3, -0.3, 1.1, -2.5, math.pi / 2, 3.0])
+def test_givens_block_matches_controlled_ry_form(theta):
+    # basis index x_lo | x_hi << 1 with lo = 0, hi = 1
+    cx_hi_lo = np.eye(4)[:, [0, 1, 3, 2]]  # |x_hi, x_lo> -> |x_hi, x_lo ^ x_hi>
+    cos, sin = math.cos(theta), math.sin(theta)
+    cry = np.eye(4)  # Ry(2 theta) on hi when lo = 1
+    cry[np.ix_([1, 3], [1, 3])] = [[cos, -sin], [sin, cos]]
+    want = cx_hi_lo @ cry @ cx_hi_lo
+    c = Circuit(2)
+    _givens_block(c, 1, 0, None, theta)
+    got = np.stack([simulate(c, x) for x in range(4)], axis=1)
+    assert np.abs(got - want).max() < 1e-12  # global phase included
+
+
+def test_givens_block_cx_counts():
+    c = Circuit(3)
+    _givens_block(c, 1, 0, None, 0.4)
+    assert _cx_count(c) == 2
+    c = Circuit(3)
+    _givens_block(c, 1, 0, 2, 0.4)
+    assert _cx_count(c) == 6
+
+
+# CNOT counts of the gray-code multiplexor and the 2-CNOT Givens block
+LADDER_CX_MAX = {(64, 2): 742, (64, 32): 8992}
+
+
+@pytest.mark.parametrize("n,k", list(LADDER_CX_MAX))
+def test_dicke_path_cx_count(n, k):
+    assert _cx_count(dicke_unitary_path(n, k)) <= LADDER_CX_MAX[(n, k)]
 
 
 def test_dicke_path_rejects_bad_k():
@@ -141,6 +178,42 @@ def test_divide_path_unitary_image_orthonormal():
     images = [simulate(c, idx) for idx in range(1 << (2 * k))]
     gram = np.array([[np.vdot(a, b) for b in images] for a in images])
     assert np.allclose(gram, np.eye(1 << (2 * k)), atol=1e-9)
+
+
+def _conveyor(n, m, k):
+    """divide_unitary_path on path positions S2 = 0..k-1, S1 = k..2k-1."""
+    return divide_unitary_path(DivideSpec(n=n, m=m, k=k,
+                                          left=list(range(k, 2 * k)),
+                                          right=list(range(k))))
+
+
+def test_divide_path_above_simulator_cap():
+    # 32 qubits: the support-only kernel checks every unary input
+    n, m, k = 40, 22, 16
+    c = _conveyor(n, m, k)
+    for ell in range(k + 1):
+        idx, amp = _evolve(c, np.array([unary_index(ell, k)]),
+                           np.array([1.0 + 0j]))
+        got = dict(zip(idx.tolist(), amp))
+        w = hyper_weights(n, m, k, ell)
+        want = {unary_index(i, k) << k | unary_index(ell - i, k): w[i]
+                for i in range(ell + 1)}
+        assert max(abs(got.get(x, 0.0) - want.get(x, 0.0))
+                   for x in got.keys() | want.keys()) < 1e-12
+
+
+CONVEYOR_CX_MAX = {4: 214, 8: 878, 16: 3550}
+
+
+@pytest.mark.parametrize("k", list(CONVEYOR_CX_MAX))
+def test_divide_path_cx_count(k):
+    assert _cx_count(_conveyor(4 * k, 2 * k, k)) <= CONVEYOR_CX_MAX[k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_divide_path_emits_no_x_gates(k):
+    c = _conveyor(4 * k, 2 * k, k)
+    assert not any(g == x_gate(g.qubits[0]) for g in c.gates)
 
 
 def test_divide_spec_validation():
