@@ -106,8 +106,8 @@ def mux_ry(controls, target: int, angles, circuit: Circuit) -> None:
     while step < size:
         for lo in range(0, size, 2 * step):
             for x in range(lo, lo + step):
-                a, b = angles[x], angles[x + step]
-                angles[x], angles[x + step] = a + b, a - b
+                u, v = angles[x], angles[x + step]
+                angles[x], angles[x + step] = u + v, u - v
         step *= 2
     for j in range(size):
         alpha = angles[j ^ (j >> 1)] / size
