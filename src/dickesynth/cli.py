@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 usage/argument error, 3 verification or audit failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -58,7 +59,7 @@ def _connectivity(topology, dims, n):
 
 
 def _load_amplitudes(path):
-    """One complex per line as `re im`; normalized within 1e-9."""
+    """One finite complex per line as `re im`; normalized within 1e-9."""
     values = []
     try:
         with open(path) as fh:
@@ -76,6 +77,8 @@ def _load_amplitudes(path):
             values.append(complex(float(parts[0]), float(parts[1])))
         except ValueError as e:
             raise _UsageError(f"bad amplitude line {line!r}") from e
+        if not cmath.isfinite(values[-1]):
+            raise _UsageError(f"non-finite amplitude line {line!r}")
     alpha = np.asarray(values, dtype=complex)
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise _UsageError("amplitude file is not normalized")

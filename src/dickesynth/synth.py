@@ -19,6 +19,7 @@ input-loading gates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -137,6 +138,29 @@ def _fold_into(c: Circuit, regs: list, target: list) -> None:
         c.cx(a, b)
 
 
+def _pack_rows(k: int, anc: list, s1: list, s2: list) -> list:
+    """Slot allocation of divide_unitary_ancilla's step (b): batches of
+    rows (l, its l-1 middle slots, the S1 and S2 its erase Toffolis read)
+    in increasing l. The last row of a batch reads s1 and s2 themselves.
+    Each batch takes every row's middle slots, then the copies, from a
+    cursor that wraps around the pool."""
+    pool = itertools.cycle(anc)
+    batches = []
+    lo = 1
+    while lo <= k:
+        batch = [lo]
+        while (batch[-1] < k and
+               batch[-1] + 3 * sum(ell - 1 for ell in batch) <= len(anc)):
+            batch.append(batch[-1] + 1)
+        lo = batch[-1] + 1
+        mids = [list(itertools.islice(pool, ell - 1)) for ell in batch]
+        rows = [(ell, mid, list(itertools.islice(pool, ell - 1)),
+                 list(itertools.islice(pool, ell - 1)))
+                for ell, mid in zip(batch[:-1], mids)]
+        batches.append(rows + [(batch[-1], mids[-1], s1, s2)])
+    return batches
+
+
 def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
                            num_qubits: int | None = None) -> Circuit:
     """Divide unitary D^{n,m}_k using N >= 2k clean ancilla, restored on
@@ -149,17 +173,25 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
       (b) per count l, in batches of parallel rows: a Givens tree spreads
           the one on the block [s2[l-1], l-1 middle slots, s1[l-1]] to
           sum_i w_i(l) |e_i>; middle slot a is XOR-folded into s1[a-1]
-          and s2[l-a-1], then erased by a Toffoli on copies of those two
-          qubits, since the pair (a, l-a) names the row
+          and s2[l-a-1], then erased by a Toffoli on those two qubits
+          (or copies of them), since the pair (a, l-a) names the row
       (c) one-hot -> unary on S1 and S2
 
     Rows run in increasing l, so a row's block is all-zero when its tree
     runs unless that row holds the count; Givens rotations keep Hamming
-    weight, so an all-zero block needs no control. The first row of a
-    batch takes k-1 middle slots and reads S1 and S2 directly; every
-    further row also holds its own k-qubit copies of S1 and S2, so
-    p = 1 + (N-k+1) // (3k-1) rows run in parallel. Each batch is
-    O(log k) deep, and there are ceil(k/p) of them.
+    weight, so an all-zero block needs no control. Rows are packed by
+    their own width: row l takes l-1 middle slots. A batch's widest (last)
+    row reads S1 and S2 directly; every other row also holds its own
+    (l-1)-wide copies of both. A batch grows in increasing l while
+    (l_max - 1) + 3 sum_{other rows} (l - 1) fits in the N ancilla. Each
+    batch is O(log k) deep.
+
+    Each batch takes its slots from a cursor that continues, modulo the
+    pool, from where the last batch stopped. The next batch's trees touch
+    s2[l-1], s1[l-1] and their own slots; this batch's erase reads only
+    s1 and s2 below its widest count and its own slots. So ASAP layering
+    overlaps the two wherever their slots are disjoint, with no extra
+    gates.
     """
     anc = list(ancilla)
     k = spec.k
@@ -178,33 +210,26 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
     # (a) unary -> one-hot on S2
     c.extend(u_uo(s2).gates)
 
-    # (b) row j of a batch holds (middle slots, the S1 and S2 copies its
-    # erase Toffolis read)
-    p = min(k, 1 + (len(anc) - k + 1) // (3 * k - 1))
-    rows = [(anc[:k - 1], s1, s2)]
-    for j in range(p - 1):
-        r = anc[k - 1 + (3 * k - 1) * j:k - 1 + (3 * k - 1) * (j + 1)]
-        rows.append((r[:k - 1], r[k - 1:2 * k - 1], r[2 * k - 1:]))
-    for lo in range(1, k + 1, p):
-        batch = list(range(lo, min(lo + p, k + 1)))
-        mids = [rows[j][0][:ell - 1] for j, ell in enumerate(batch)]
-        for ell, mid in zip(batch, mids):
+    # (b) one batch of parallel rows at a time
+    for rows in _pack_rows(k, anc, s1, s2):
+        mids = [mid for _, mid, _, _ in rows]
+        for ell, mid, _, _ in rows:
             _onehot_load(c, [s2[ell - 1], *mid, s1[ell - 1]],
                          hyper_weights(spec.n, spec.m, k, ell)[:ell + 1])
         # at most one block is nonzero; slot a of row l goes to s1[a-1]
         # and to s2[l-a-1]
         _fold_into(c, mids, s1)
         _fold_into(c, [mid[::-1] for mid in mids], s2)
-        width = batch[-1] - 1
-        fan = fanout_copy(s1[:width] + s2[:width],
-                          [rows[j][1][:width] + rows[j][2][:width]
-                           for j in range(1, len(batch))])
-        c.extend(fan.gates)
-        for j, ell in enumerate(batch):
+        fan = [g for t in range(rows[-1][0] - 1)
+               for g in fanout_copy([s1[t], s2[t]],
+                                    [[c1[t], c2[t]]
+                                     for _, _, c1, c2 in rows[:-1]
+                                     if t < len(c1)]).gates]
+        c.extend(fan)
+        for ell, mid, c1, c2 in rows:
             for a in range(1, ell):
-                build_ccx(c, rows[j][1][a - 1], rows[j][2][ell - a - 1],
-                          mids[j][a - 1])
-        c.extend(reversed(fan.gates))
+                build_ccx(c, c1[a - 1], c2[ell - a - 1], mid[a - 1])
+        c.extend(reversed(fan))
 
     # (c) both shares back to unary
     c.extend(inverse(u_uo(s1)).gates)
@@ -476,6 +501,8 @@ def prepare_dicke(topology: str, dims, k: int) -> Circuit:
 def _prepare_symmetric(topology: str, dims, k: int, amplitudes) -> tuple:
     """prepare_symmetric's circuit together with the synthesis plan."""
     alpha = np.asarray(amplitudes, dtype=complex)
+    if not np.isfinite(alpha).all():
+        raise ValueError("non-finite amplitudes")
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise ValueError("non-normalized amplitudes")
     unitary, plan = _synthesize(topology, dims, k)

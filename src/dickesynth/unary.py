@@ -214,6 +214,8 @@ def unary_amplitude_prep(k: int, amplitudes) -> Circuit:
     alpha = np.asarray(amplitudes, dtype=complex)
     if alpha.shape != (k + 1,):
         raise ValueError("need k+1 amplitudes")
+    if not np.isfinite(alpha).all():
+        raise ValueError("non-finite amplitudes")
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise ValueError("non-normalized amplitudes")
     c = _PathCircuit(k)

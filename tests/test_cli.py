@@ -89,6 +89,19 @@ def test_synth_symmetric_unreadable_amplitudes(tmp_path, text):
                 "--symmetric", str(amp)]) == 2
 
 
+@pytest.mark.parametrize("text", ["nan 0\n1 0\n0 0\n", "1 0\n0 nan\n0 0\n",
+                                  "inf 0\n0 0\n0 0\n", "0 0\n0 -inf\n1 0\n"])
+def test_synth_symmetric_rejects_non_finite(tmp_path, capsys, text):
+    # NaN slips past a plain |norm - 1| > tol test
+    amp = tmp_path / "alpha.txt"
+    amp.write_text(text)
+    out = tmp_path / "s.qc"
+    assert run(["synth", "--topology", "complete", "--n", "6", "--k", "2",
+                "--symmetric", str(amp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite amplitude")
+    assert not out.exists()
+
+
 # --- verify ---------------------------------------------------------------------
 
 

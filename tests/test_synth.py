@@ -7,9 +7,9 @@ import pytest
 from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
                                 asap_layering, dumps, remap_qubits,
                                 validate_connectivity)
-from dickesynth.synth import (SynthesisPlan, divide_unitary_ancilla,
-                              prepare_dicke, prepare_symmetric,
-                              synth_alltoall, synth_grid)
+from dickesynth.synth import (SynthesisPlan, _pack_rows,
+                              divide_unitary_ancilla, prepare_dicke,
+                              prepare_symmetric, synth_alltoall, synth_grid)
 from dickesynth.unary import (DivideSpec, dicke_unitary_path,
                               divide_unitary_path, hyper_weights)
 from dickesynth.verify import _evolve, dicke_reference, fidelity, simulate
@@ -77,27 +77,45 @@ def _output_support(c, index):
     return dict(zip(idx.tolist(), amp))
 
 
+def _unary_bits(reg, ell):
+    """Basis index with ones on the first ell qubits of reg."""
+    return sum(1 << q for q in reg[:ell])
+
+
 def _ancilla_divide_error(c, spec):
     """Largest entrywise gap between c and the divide on every unary input
-    l <= k on S2 (qubits k..2k-1), with every other qubit required back at
-    |0>."""
+    l <= k on S2, with every other qubit required back at |0>."""
     k = spec.k
     err = 0.0
     for ell in range(k + 1):
-        got = _output_support(c, unary_index(ell, k) << k)
+        got = _output_support(c, _unary_bits(spec.right, ell))
         w = hyper_weights(spec.n, spec.m, k, ell)
-        want = {unary_index(i, k) | unary_index(ell - i, k) << k: w[i]
-                for i in range(ell + 1)}
+        want = {_unary_bits(spec.left, i) | _unary_bits(spec.right, ell - i):
+                w[i] for i in range(ell + 1)}
         err = max(err, max(abs(got.get(x, 0.0) - want.get(x, 0.0))
                            for x in got.keys() | want.keys()))
     return err
 
 
+def _packing(spec, ancilla):
+    """The divide's batches of rows (l, middle slots, the S1 and S2 its
+    erase reads) on these ancilla."""
+    return _pack_rows(spec.k, list(ancilla), list(spec.left),
+                      list(spec.right))
+
+
+def _batches(spec, ancilla):
+    """Counts of each batch of rows the divide packs on these ancilla."""
+    return [[row[0] for row in rows] for rows in _packing(spec, ancilla)]
+
+
 def _rows_budget(k, p):
-    """Ancilla count at which the one-hot load runs p rows per batch: the
-    first row takes k-1 middle slots, each further row 3k-1 qubits (its
-    slots and two k-qubit copies), and no divide takes fewer than 2k."""
-    return max(2 * k, (k - 1) + (3 * k - 1) * (p - 1))
+    """Ancilla count at which the p widest rows, l = k-p+1..k, fit one
+    batch: the widest takes its k-1 middle slots, every other row l takes
+    3(l-1) (its slots and two (l-1)-wide copies of S1 and S2). Narrower
+    rows cost less, so every batch but the last then holds at least p
+    rows. No divide takes fewer than 2k."""
+    return max(2 * k, k - 1 + 3 * sum(ell - 1 for ell in range(k - p + 1, k)))
 
 
 @pytest.mark.parametrize("k,p", [(k, p) for k in (1, 2, 3, 4, 5)
@@ -105,36 +123,75 @@ def _rows_budget(k, p):
 def test_divide_ancilla_one_hot_load_rows_per_batch(k, p):
     spec = aa_spec(4 * k + 1, 2 * k, k)
     nq = 2 * k + _rows_budget(k, p)
+    assert all(len(b) >= p for b in _batches(spec, range(2 * k, nq))[:-1])
     c = divide_unitary_ancilla(spec, range(2 * k, nq), num_qubits=nq)
     assert _ancilla_divide_error(c, spec) < 1e-10
+
+
+def _is_ry(g):
+    return g.kind == "u" and g.params[0] != 0.0 and not any(g.params[1:])
 
 
 def test_divide_ancilla_fault_in_one_row_is_caught():
-    k, p = 3, 2
+    # on 2k ancilla the batches mix widths and the last one's slots wrap
+    # around the pool
+    k = 5
     spec = aa_spec(4 * k + 1, 2 * k, k)
-    nq = 2 * k + _rows_budget(k, p)
-    c = divide_unitary_ancilla(spec, range(2 * k, nq), num_qubits=nq)
+    anc = range(2 * k, 4 * k)
+    assert _batches(spec, anc) == [[1, 2, 3], [4], [5]]
+    c = divide_unitary_ancilla(spec, anc, num_qubits=4 * k)
     assert _ancilla_divide_error(c, spec) < 1e-10
-    # the second row of the first batch holds count 2; its middle slots
-    # follow the first row's k-1
-    row = set(range(3 * k - 1, 4 * k - 2))
-    at = next(i for i, g in enumerate(c.gates)
-              if g.kind == "u" and g.qubits[0] in row
-              and g.params[0] != 0.0 and not any(g.params[1:]))
-    g = c.gates[at]
-    c.gates[at] = Gate("u", g.qubits, (g.params[0] + 1e-3, *g.params[1:]))
-    assert _ancilla_divide_error(c, spec) > 1e-6
+    rows = [row for rows in _packing(spec, anc) for row in rows]
+    assert anc[0] in rows[-1][1]
+    for ell, mid, _, _ in rows:
+        # only row l's tree rotates its flag s2[l-1]; from its first such
+        # rotation on, the next rotation on one of its middle slots is its
+        # own (row 1 has none, so its flag's is taken)
+        flag = spec.right[ell - 1]
+        start = next(i for i, g in enumerate(c.gates)
+                     if _is_ry(g) and g.qubits == (flag,))
+        on = set(mid) or {flag}
+        at = next(i for i in range(start, c.size)
+                  if _is_ry(c.gates[i]) and c.gates[i].qubits[0] in on)
+        faulty = Circuit(c.num_qubits, list(c.gates))
+        g = c.gates[at]
+        faulty.gates[at] = Gate("u", g.qubits,
+                                (g.params[0] + 1e-3, *g.params[1:]))
+        assert _ancilla_divide_error(faulty, spec) > 1e-6, ell
+
+
+def _top_spec(nn, k):
+    """Spec and idle qubits of the ancilla divide synth_alltoall places at
+    the top of an nn-qubit block."""
+    half = nn // 2
+    spec = DivideSpec(n=nn, m=nn - half, k=k,
+                      left=tuple(range(half, half + k)),
+                      right=tuple(range(k)))
+    return spec, tuple(range(k, half)) + tuple(range(half + k, nn))
 
 
 def _top_divide(nn, k):
     """The ancilla divide synth_alltoall places at the top of an nn-qubit
     block, on the block's idle qubits."""
-    half = nn // 2
-    spec = DivideSpec(n=nn, m=nn - half, k=k,
-                      left=tuple(range(half, half + k)),
-                      right=tuple(range(k)))
-    idle = tuple(range(k, half)) + tuple(range(half + k, nn))
+    spec, idle = _top_spec(nn, k)
     return divide_unitary_ancilla(spec, idle, num_qubits=nn)
+
+
+def test_divide_ancilla_sixty_qubits_mixed_widths():
+    # above the dense simulator's cap: 40 idle qubits hold mixed-width
+    # batches, checked on every count through the support-only kernel
+    spec, idle = _top_spec(60, 10)
+    assert _batches(spec, idle) == [[1, 2, 3, 4, 5, 6], [7, 8], [9, 10]]
+    assert _ancilla_divide_error(_top_divide(60, 10), spec) < 1e-12
+
+
+@pytest.mark.parametrize("nn,k,most", [(128, 32, 21), (64, 16, 10),
+                                       (32, 8, 5)])
+def test_divide_ancilla_batch_count(nn, k, most):
+    # nn - 2k idle qubits; sizing every row for count k ran one row per
+    # batch here, k batches
+    spec, idle = _top_spec(nn, k)
+    assert len(_batches(spec, idle)) <= most
 
 
 # (depth, size) of the top-level ancilla divide when it loaded S1 in
@@ -154,9 +211,18 @@ def test_divide_ancilla_top_level_depth_target():
     assert asap_layering(_top_divide(4096, 32)).depth < 120
 
 
+@pytest.mark.parametrize("nn,k,depth", [(128, 32, 445), (64, 16, 212),
+                                        (32, 8, 97)])
+def test_divide_ancilla_bottom_level_depth(nn, k, depth):
+    # the blocks where few rows fit: rows packed by their own width, and
+    # each batch's trees overlapping the last batch's erase
+    assert asap_layering(_top_divide(nn, k)).depth <= depth
+
+
 def test_alltoall_depth_target():
-    c, _ = synth_alltoall(1024, 8)
-    assert asap_layering(c).depth < 1100
+    for n, k, depth in [(1024, 8, 684), (512, 16, 1196)]:
+        c, _ = synth_alltoall(n, k)
+        assert asap_layering(c).depth <= depth, (n, k)
 
 
 def test_divide_ancilla_small_budget_delegates_to_conveyor():
@@ -455,6 +521,14 @@ def test_prepare_symmetric_rejects_unnormalized():
         prepare_symmetric("complete", 6, 2, [1.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("alpha", [[math.nan, 1.0, 0.0],
+                                   [0.0, complex(0.0, math.inf), 0.0],
+                                   [math.inf, 0.0, 0.0]])
+def test_prepare_symmetric_rejects_non_finite(alpha):
+    with pytest.raises(ValueError, match="non-finite"):
+        prepare_symmetric("complete", 6, 2, alpha)
+
+
 # --- byte-identical output ----------------------------------------------------
 
 # sha256 of dumps() for fixed cases; a change that keeps the algorithms must
@@ -462,16 +536,16 @@ def test_prepare_symmetric_rejects_unnormalized():
 DUMPS_SHA256 = {
     "synth_alltoall(16,2)": (
         lambda: synth_alltoall(16, 2)[0],
-        "b72a7572d71c4bc5ccc16daa9099dfec5c327ca077d3b6b7b84d15c244d93e7a"),
+        "c67e09f673c07622ea324159a641b0172d4c966248db50f29eda89d6911b7921"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "26d9e7452079640ed0599e2dec3843d27459676de28e9b6ef7e6aee6172a3f7d"),
+        "e5254fae2b862051eeb35f8cfbeda97c5d6b7dff3b1bf095656d12b5cae8ff6f"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "e842377180addbf3e1297cc6dffa1ca18797bf313731bace3d1db6c8b1557f04"),
+        "6827939dab75eb26eb453a623b7401bbc8beeeaa600fa934ebd98b8d94268072"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "fb4687d5929abd9c61cc797e33e0ebc738a818fbc288c8dd1d4f67f255cce2b7"),
+        "985aacd70438a64d425748deb83cb276f23b375f87c1d08da3d5a38a7e33116b"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
         "250dc7d11120da8d8fd0fbe67c75613274a01a83dd066ab0aea937e86e0355ca"),

@@ -269,3 +269,8 @@ def _point_mass(k):
 def test_unary_prep_rejects_unnormalized():
     with pytest.raises(ValueError):
         unary_amplitude_prep(2, [1.0, 1.0, 0.0])
+
+
+def test_unary_prep_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        unary_amplitude_prep(2, [math.nan, 1.0, 0.0])
