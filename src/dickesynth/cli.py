@@ -206,11 +206,8 @@ def cmd_bench(args) -> int:
         for k in sorted(ks):
             if k > n // 2:
                 continue
-            if topology == "complete":
-                n1, n2, dims = 1, n, n
-            elif topology == "path":
-                n1, n2, dims = 1, n, n
-            else:
+            n1, n2, dims = 1, n, n
+            if topology == "grid":
                 if n % n_rows:
                     continue
                 n1, n2 = n_rows, n // n_rows
@@ -220,8 +217,7 @@ def cmd_bench(args) -> int:
             circuit, _ = _synthesize(topology, dims, k)
             report = asap_layering(circuit)
             if topology in ("grid", "path"):
-                graph = _connectivity(topology, dims if topology == "grid"
-                                      else None, n)
+                graph = _connectivity(topology, dims, n)
                 if validate_connectivity(circuit, graph):
                     print(f"connectivity violation at n={n} k={k}",
                           file=sys.stderr)

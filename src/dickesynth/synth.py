@@ -4,9 +4,9 @@ Three synthesis strategies share one functional contract — the produced
 circuit maps |0^{n-l}1^l> -> |D^n_l> for every l in [k]_0, with the l input
 ones occupying qubits 0..l-1:
 
-* ``synth_alltoall``: recursive halving on unrestricted connectivity. Each
-  block size takes whichever of the ladder and the ancilla-accelerated
-  divide (run on the block's own idle qubits) gives the shallowest block.
+* ``synth_alltoall``: recursive halving on unrestricted connectivity. A
+  block takes the ancilla-accelerated divide, run on its own idle qubits,
+  while it has the 2k of them that divide needs, and the ladder after.
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
   with the conveyor divide when the grid is tall enough (k >= n2/n1) and a
   left-to-right column-group sweep otherwise.
@@ -246,49 +246,37 @@ def synth_alltoall(n: int, k: int) -> tuple:
     Recursively halves the qubit block: a divide unitary hands the upper
     half its share of the count, then each half recurses; a block may
     instead finish on the linear ladder. The blocks of a layer are
-    identical, so one choice is made per block size, bottom-up over the
-    O(log n) sizes: the shallowest of the ladder and, when the block has
-    2k idle qubits, the ancilla divide on them, scored by its ASAP depth
-    plus the deeper half's. The ladder wins ties. Depth is
+    identical, so one template is built per block size and placed on
+    every block of that size. A block of nn qubits divides when its
+    nn - 2k idle qubits hold the 2k ancilla divide_unitary_ancilla needs
+    (nn >= 4k) and takes the ladder otherwise. Depth is
     O(log k log(n/k) + k)."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
     plan = SynthesisPlan(g, n, k)
     c = Circuit(n)
-    # block size -> (score, variant, template, template depth, its CNOTs)
+    # block size -> (variant, template, template depth, its CNOTs)
     chosen: dict = {}
 
     def choose(nn: int) -> tuple:
-        if nn in chosen:
-            return chosen[nn]
-        half = nn // 2
-        idle = tuple(range(k, half)) + tuple(range(half + k, nn))
-        options = []          # (variant, template, depth of the halves)
-        if len(idle) >= 2 * k:    # so each half can hold the count
-            spec = DivideSpec(n=nn, m=nn - half, k=k,
-                              left=tuple(range(half, half + k)),
-                              right=tuple(range(k)))
-            low, high = choose(half), choose(nn - half)
-            below = max(low[0], high[0])
-            options.append(("ancilla", divide_unitary_ancilla(
-                spec, idle, num_qubits=nn), below))
-        # the block's ladder is about twice as deep as a half's; where a
-        # half beat its own ladder, the block's has lost at every size
-        # tried, so it is only built where no divide fits or both halves
-        # took the ladder
-        if not options or low[1] == high[1] == "ladder":
-            options.insert(0, ("ladder", dicke_unitary_path(nn, k), 0))
-        scored = [(asap_layering(t).depth, variant, t, below)
-                  for variant, t, below in options]
-        depth, variant, template, below = min(scored,
-                                              key=lambda o: o[0] + o[3])
-        chosen[nn] = (depth + below, variant, template, depth,
-                      _cx_count(template.gates))
+        if nn not in chosen:
+            if nn - 2 * k >= 2 * k:   # the divide's 2k idle qubits fit
+                half = nn // 2
+                spec = DivideSpec(n=nn, m=nn - half, k=k,
+                                  left=tuple(range(half, half + k)),
+                                  right=tuple(range(k)))
+                idle = tuple(range(k, half)) + tuple(range(half + k, nn))
+                variant = "ancilla"
+                template = divide_unitary_ancilla(spec, idle, num_qubits=nn)
+            else:
+                variant, template = "ladder", dicke_unitary_path(nn, k)
+            chosen[nn] = (variant, template, asap_layering(template).depth,
+                          _cx_count(template.gates))
         return chosen[nn]
 
     def rec(base: int, nn: int, layer: int) -> None:
-        _, variant, template, depth, cx = choose(nn)
+        variant, template, depth, cx = choose(nn)
         # remap_qubits checks the offset map once, not each gate
         shift = range(base, base + nn)
         c.gates.extend(remap_qubits(template, shift, n).gates)

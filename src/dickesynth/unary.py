@@ -113,7 +113,7 @@ def dicke_unitary_path(n: int, k: int) -> Circuit:
         raise ValueError("k > n")
     if n < 2 or k == 0:
         return Circuit(n)
-    c = _PathCircuit(n)
+    c = Circuit(n)
     # sweep j acts on the top j qubits: it splits off the lowest of them
     # (amplitude sqrt(l/j) keeps the one there, sqrt((j-l)/j) shifts the
     # block up one), then the next sweep recurses on the remaining j-1
@@ -124,7 +124,7 @@ def dicke_unitary_path(n: int, k: int) -> Circuit:
             theta = math.acos(math.sqrt((a + 1) / j))
             far = base + a + 2 if a + 2 <= j - 1 else None
             _givens_block(c, base + a + 1, base + a, far, theta)
-    return Circuit(n, c.gates)
+    return c
 
 
 def divide_unitary_path(spec: DivideSpec) -> Circuit:
@@ -218,7 +218,7 @@ def unary_amplitude_prep(k: int, amplitudes) -> Circuit:
         raise ValueError("non-finite amplitudes")
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
         raise ValueError("non-normalized amplitudes")
-    c = _PathCircuit(k)
+    c = Circuit(k)
     mags2 = np.abs(alpha) ** 2
     residual = np.concatenate([np.cumsum(mags2[::-1])[::-1], [0.0]])
     for j in range(k):
@@ -241,4 +241,4 @@ def unary_amplitude_prep(k: int, amplitudes) -> Circuit:
     g0 = float(np.angle(alpha[0]))
     if g0 != 0.0:
         c.u(0, 0.0, 0.0, 0.0, g0)  # global phase
-    return Circuit(k, c.gates)
+    return c

@@ -62,6 +62,8 @@ def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
         psi = np.array(state, dtype=complex)
         if psi.shape != (1 << n,):
             raise ValueError("state vector dimension mismatch")
+        if not np.isfinite(psi).all():
+            raise ValueError("non-finite state vector")
     idx = np.flatnonzero(psi).astype(np.int64)
     idx, amp = _evolve(c, idx, psi[idx])
     norm = np.linalg.norm(amp)

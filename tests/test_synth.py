@@ -344,9 +344,10 @@ def _alltoall_every_ladder(n, k):
 
 
 ORACLE_POINTS = [(n, k) for k in (1, 2, 3, 4, 8, 16)
-                 for n in sorted({2 * k, 2 * k + 1, 3 * k + 1, 4 * k,
-                                  5 * k + 2, 8 * k - 1, 8 * k, 16 * k + 3,
-                                  100, 256}) if 2 * k <= n <= 256]
+                 for n in sorted({2 * k, 2 * k + 1, 3 * k + 1, 4 * k - 1,
+                                  4 * k, 4 * k + 1, 5 * k + 2, 8 * k - 1,
+                                  8 * k, 16 * k + 3, 100, 256})
+                 if 2 * k <= n <= 256]
 
 
 @pytest.mark.parametrize("n,k", ORACLE_POINTS)
@@ -375,11 +376,34 @@ def test_alltoall_no_deeper_or_larger_than_before(n, k):
 
 
 def test_alltoall_large_k_delegates_to_ladder():
-    c, plan = synth_alltoall(8, 3)  # the ladder beats a divide here
+    # 8 - 2k = 2 idle qubits hold no divide's 2k ancilla: only the ladder fits
+    c, plan = synth_alltoall(8, 3)
     assert plan.recursion_tree == []
     for ell in range(4):
         out = simulate(c, unary_index(ell, 8))
         assert fidelity(out, dicke_reference(8, ell)) > 1 - 1e-8
+
+
+@pytest.mark.parametrize("n,k", [(1024, 8), (512, 16)])
+def test_alltoall_builds_only_placed_templates(monkeypatch, n, k):
+    import dickesynth.synth as synth
+    ladders, divides = [], []
+
+    def recorded(log, build):
+        def wrapper(*args, **kwargs):
+            log.append(args[0])
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(synth, "dicke_unitary_path",
+                        recorded(ladders, dicke_unitary_path))
+    monkeypatch.setattr(synth, "divide_unitary_ancilla",
+                        recorded(divides, divide_unitary_ancilla))
+    _, plan = synth_alltoall(n, k)
+    # each ladder length built is placed as a tail, and built once
+    assert sorted(ladders) == sorted({len(u) for u in plan.tail_units})
+    assert sorted(spec.n for spec in divides) == sorted(
+        {node.n_node for node in plan.recursion_tree})
 
 
 def test_alltoall_size_linear_in_nk():

@@ -124,6 +124,15 @@ def test_simulator_cap():
         simulate(Circuit(21))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_simulate_rejects_non_finite_state(bad):
+    # a NaN norm passes abs(norm - 1) > 1e-9, so it must be refused first
+    c = Circuit(2)
+    c.cx(0, 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate(c, np.array([bad, 0, 0, 0]))
+
+
 def test_basis_state_little_endian():
     v = basis_state(3, "011")
     assert v[0b011] == 1.0
