@@ -84,11 +84,8 @@ def mux_ry(controls, target: int, angles, circuit: Circuit) -> None:
 
     Controls the table does not depend on are dropped first. On the c that
     remain this is the gray-code multiplexor (Moettoenen et al.,
-    quant-ph/0407010): step j emits Ry(alpha_j), then one CX from the
-    control whose bit flips between gray codes g_j and g_{j+1}, with
-    g_j = j ^ (j >> 1) and alpha_j = 2^-c sum_x (-1)^popcount(x & g_j)
-    angles[x]. That is 2^c CNOTs, the top control's only 2; zero angles
-    emit no rotation, and an all-zero table emits nothing.
+    quant-ph/0407010) of _gray_steps: 2^c CNOTs, the top control's only 2;
+    zero angles emit no rotation, and an all-zero table emits nothing.
     """
     controls = list(controls)
     angles = [float(a) for a in angles]
@@ -100,6 +97,21 @@ def mux_ry(controls, target: int, angles, circuit: Circuit) -> None:
         if low == [a for x, a in enumerate(angles) if x & bit]:
             angles = low
             del controls[b]
+    for alpha, flip in _gray_steps(angles):
+        if alpha != 0.0:
+            circuit.ry(target, alpha)
+        if controls:
+            circuit.cx(controls[flip], target)
+
+
+def _gray_steps(angles) -> list:
+    """The steps (alpha_j, flip_j), j < 2^c, of the gray-code multiplexor
+    for a table of 2^c angles: emit Ry(alpha_j) on the target, then one CX
+    from control flip_j, the bit that flips between gray codes g_j and
+    g_{j+1}. Here g_j = j ^ (j >> 1) and alpha_j = 2^-c sum_x
+    (-1)^popcount(x & g_j) angles[x]; the last step wraps to the top
+    control, so the target ends where it started."""
+    angles = list(angles)
     size = len(angles)
     # in-place Walsh-Hadamard: angles[s] <- sum_x (-1)^popcount(x & s) angles[x]
     step = 1
@@ -109,12 +121,9 @@ def mux_ry(controls, target: int, angles, circuit: Circuit) -> None:
                 u, v = angles[x], angles[x + step]
                 angles[x], angles[x + step] = u + v, u - v
         step *= 2
-    for j in range(size):
-        alpha = angles[j ^ (j >> 1)] / size
-        if alpha != 0.0:
-            circuit.ry(target, alpha)
-        if controls:
-            # bit flipped from g_j to g_{j+1}: the lowest set bit of j + 1,
-            # wrapping to the top control on the last step
-            flip = ((j + 1) & -(j + 1)).bit_length() - 1
-            circuit.cx(controls[min(flip, len(controls) - 1)], target)
+    top = size.bit_length() - 2
+    # flip_j is the lowest set bit of j + 1, wrapping to the top control on
+    # the last step
+    return [(angles[j ^ (j >> 1)] / size,
+             min(((j + 1) & -(j + 1)).bit_length() - 1, top))
+            for j in range(size)]

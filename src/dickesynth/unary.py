@@ -1,15 +1,18 @@
 """Path-constrained unary building blocks.
 
 Three constructions, all using only nearest-neighbor CNOTs along a declared
-qubit path:
+qubit path, none of them relayed:
 
 * dicke_unitary_path -- the weight-preserving unitary mapping |0^{n-l}1^l>
   to the (n,l) Dicke state for every l <= k, as a ladder of split-and-shift
-  sweeps (depth O(n), size O(nk)).
+  sweeps (depth O(n), size O(nk)). Each sweep's top block is the 2-CNOT
+  Givens block: the far control it would add only tells counts above k.
 * divide_unitary_path -- the hypergeometric divide unitary on 2k adjacent
   qubits: a crossing conveyor in which the k "count" cells bubble through
   the k "deposit" cells, emitting one controlled Givens rotation per
-  meeting (depth O(k), size O(k^2)).
+  meeting (depth O(k), size O(k^2)). A meeting takes at most 14 CNOTs: its
+  one control two positions from the target is read through the adjacent
+  cell, never relayed.
 * unary_amplitude_prep -- sum_l alpha_l |0^{k-l}1^l> from |0^k> via a
   rotation chain.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, remap_qubits
-from .primitives import _h, mux_ry
+from .primitives import _gray_steps, _h, mux_ry
 
 __all__ = [
     "DivideSpec",
@@ -61,25 +64,6 @@ def hyper_weights(n: int, m: int, k: int, ell: int) -> np.ndarray:
         if 0 <= ell - i <= n - m and i <= m:
             w[i] = math.sqrt(math.comb(m, i) * math.comb(n - m, ell - i) / total)
     return w
-
-
-class _PathCircuit(Circuit):
-    """Circuit whose cx() relays through intermediate path qubits so every
-    emitted CNOT is nearest-neighbor (indices here are path positions)."""
-
-    def cx(self, control, target):
-        d = abs(control - target)
-        if d == 1:
-            super().cx(control, target)
-        elif d == 2:
-            mid = (control + target) // 2
-            # t ^= c through a relay of arbitrary state: 4 CNOTs
-            super().cx(control, mid)
-            super().cx(mid, target)
-            super().cx(control, mid)
-            super().cx(mid, target)
-        else:
-            raise ValueError("only distance <= 2 CNOTs are relayed")
 
 
 def _givens_block(c: Circuit, hi: int, lo: int, far: int | None,
@@ -122,7 +106,9 @@ def dicke_unitary_path(n: int, k: int) -> Circuit:
         kappa = min(k, j - 1)
         for a in range(kappa - 1, -1, -1):
             theta = math.acos(math.sqrt((a + 1) / j))
-            far = base + a + 2 if a + 2 <= j - 1 else None
+            # the top block (a = k - 1) runs first in its sweep, on a unary
+            # input of at most k ones, so it would find far = 0: drop it
+            far = base + a + 2 if a + 2 <= min(j - 1, k) else None
             _givens_block(c, base + a + 1, base + a, far, theta)
     return c
 
@@ -138,9 +124,13 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
     amplitude "one deposited into S1 slot i" out of "u ones still counted
     on S2"; the rotation angle is the conditional hypergeometric weight
     w_i(u+i) / sqrt(sum_{j>=i} w_j(u+i)^2). A pure-SWAP reverse conveyor
-    then restores cell positions."""
+    then restores cell positions.
+
+    A meeting guarded by both s2[u] and s1[i-1] takes 14 CNOTs, by s1[i-1]
+    alone 10 and by s2[u] alone 6; the meeting u = k, i = 0 is the 2-CNOT
+    Givens block (see _divide_givens). Every CNOT joins adjacent positions."""
     n, m, k = spec.n, spec.m, spec.k
-    c = _PathCircuit(2 * k)
+    c = Circuit(2 * k)
     # residual-mass tables: T[i][l] = sum_{j>=i} w_j(l)^2
     w2 = {ell: hyper_weights(n, m, k, ell) ** 2 for ell in range(k + 1)}
     # cells[pos] = ('s2', u-1) or ('s1', i); lockstep diamond schedule:
@@ -163,8 +153,11 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
             if u + i <= k:
                 _divide_givens(c, cells, pos, u, i, k, w2)
         for pos, _, _ in round_pairs:
-            c.swap(pos, pos + 1)
-            swaps_forward.append((pos, pos + 1))
+            # the last round's one SWAP would be undone at once by the
+            # reverse conveyor's first, so neither is emitted
+            if t < 2 * k - 1:
+                c.swap(pos, pos + 1)
+                swaps_forward.append((pos, pos + 1))
             cells[pos], cells[pos + 1] = cells[pos + 1], cells[pos]
     # all S1 cells are now at 0..k-1 in order; undo the permutation with
     # the reverse pure-SWAP conveyor
@@ -178,9 +171,10 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
                    w2: dict) -> None:
     """Controlled Givens at a conveyor meeting: S2 cell u-1 at path position
     pos, S1 cell i at pos+1. Rotates (s2,s1) = (1,0) -> cos(1,0)+sin(0,1),
-    guarded by s2[u] = 0 (no higher count bit; omitted for u = k) and
-    s1[i-1] = 1 (a one was already deposited in the previous slot; omitted
-    for i = 0)."""
+    guarded by s2[u] = 0 (no higher count bit) and s1[i-1] = 1 (a one was
+    already deposited in the previous slot; omitted for i = 0). The s2[u]
+    guard is omitted where u + i = k: s2[u] = 1 there means a count above
+    k, which no input holds."""
     ell = u + i
     mass = sum(w2[ell][j] for j in range(i, k + 1))
     if mass <= 0.0:
@@ -188,23 +182,36 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
     ratio = min(w2[ell][i] / mass, 1.0)
     theta = math.acos(math.sqrt(ratio))
     lo, hi = pos, pos + 1  # B = s2 cell, A = s1 cell
-    # mux controls, least significant first: s2[u], lo (= s2 xor s1 after
-    # the CX), s1[i-1]. The distance-2 control s1[i-1] takes the top bit,
-    # which flips least often, so it is relayed twice.
-    controls = [lo]
-    fire = 1  # table index of s2[u] = 0, lo = 1, s1[i-1] = 1
-    if u < k:
+    if u == k and i == 0:
+        _givens_block(c, hi, lo, None, theta)
+        return
+    # Gray-code multiplexor on hi. Its controls, least significant first:
+    # s2[u] (while u + i < k), lo' ^ s1[i-1] (for i > 0) and lo', where lo'
+    # = s2 xor s1 is lo after the first CX. The last two are both read
+    # through CX(lo, hi): CX(pos - 1, lo) toggles lo between them (where
+    # s2[u] is a control, in the layers where it flips hi), so no CNOT
+    # spans two positions. The rotation fires where lo' = 1 and every other
+    # control reads 0: on the top bit alone.
+    near = u + i < k  # s2[u], at pos + 2, is a control
+    if near:
         assert cells[pos + 2] == ("s2", u), (cells, pos, u, i)
-        controls.insert(0, pos + 2)
-        fire <<= 1
     if i > 0:
         assert cells[pos - 1] == ("s1", i - 1), (cells, pos, u, i)
-        controls.append(pos - 1)
-        fire |= 1 << (len(controls) - 1)
-    angles = [0.0] * (1 << len(controls))
-    angles[fire] = 2.0 * theta
+    toggled = [False] * near + [True] * (i > 0) + [False]
+    angles = [0.0] * (1 << len(toggled))
+    angles[len(angles) >> 1] = 2.0 * theta
+    state = False  # whether lo holds lo' ^ s1[i-1]
     c.cx(hi, lo)
-    mux_ry(controls, hi, angles, c)
+    for alpha, flip in _gray_steps(angles):
+        if alpha != 0.0:
+            c.ry(hi, alpha)
+        if near and flip == 0:
+            c.cx(pos + 2, hi)
+            continue
+        if state != toggled[flip]:
+            c.cx(pos - 1, lo)
+            state = not state
+        c.cx(lo, hi)
     c.cx(hi, lo)
 
 

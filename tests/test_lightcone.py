@@ -166,17 +166,17 @@ def _hadamards(n):
 # byte for byte
 AUDIT_DIGESTS = [
     (lambda: prepare_dicke("complete", 64, 4), ConnectivityGraph.complete(64),
-     "fcde730e9bce79cd1aed8db20feb2d1a5e54c63748dce5103a8243dbdafdf510"),
+     "3244dfc81d474ecfcba1edd91edec226ba8d1d2ef3cb611c4b94fc8db19fea3e"),
     (lambda: prepare_dicke("complete", 2, 1), ConnectivityGraph.complete(2),
      "6d25656f00d9c1d1ff34323ecdebb06c015cea2bcc1537f8b7132f295c8e359e"),
     (lambda: Circuit(1), ConnectivityGraph.complete(1),
      "80453a3e298dafc95c46c065516cd9cb47abe01a43f4a0c3ea58da4336064f58"),
     (lambda: prepare_dicke("grid", (8, 8), 4), ConnectivityGraph.grid(8, 8),
-     "5906fa7f571f66592c33a8b73511e74c0ab2ec312326722eb6b19ea70dd031f2"),
+     "cbfab40c3620713f9972d07b630111928c91e771e0cb3fdeaadc927c6f46416e"),
     (lambda: prepare_dicke("grid", (2, 16), 1), ConnectivityGraph.grid(2, 16),
-     "a6f743391f468b6bcd394b730f4a2c97d48ff71f13f4ec4e71af155cf4f9b564"),
+     "715dd249b321ec33e816e61d4a505c4af0404625cabcd99aa4df528a923fea6e"),
     (lambda: prepare_dicke("path", 16, 2), ConnectivityGraph.path(16),
-     "3812be73210ff0307335ae820f3154cde21b9d2a43ace1466fd3d793cf6a6b12"),
+     "b109068681f448a30219fd8c7c85ffda96dd85486cc964bad61ea05e8e85f34b"),
     (lambda: _hadamards(16), ConnectivityGraph.complete(16),
      "d27ef54b92a8c254084b13a340ad6cd43996ad5bcf3cf9615084fe3bc563acb6"),
 ]

@@ -560,46 +560,46 @@ def test_prepare_symmetric_rejects_non_finite(alpha):
 DUMPS_SHA256 = {
     "synth_alltoall(16,2)": (
         lambda: synth_alltoall(16, 2)[0],
-        "c67e09f673c07622ea324159a641b0172d4c966248db50f29eda89d6911b7921"),
+        "6cf775453ede992f35a56e44ec5d73bd3c83a858c6f2ee2f1405516f1e416607"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "e5254fae2b862051eeb35f8cfbeda97c5d6b7dff3b1bf095656d12b5cae8ff6f"),
+        "945b1a69febf34ef3274b71b02bd2f40a3eff3e556fa5ee48177fab659cecd7a"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "6827939dab75eb26eb453a623b7401bbc8beeeaa600fa934ebd98b8d94268072"),
+        "ff462c13328844a49888a997329a148b91ec1bc757fe330f7c459f667ad43855"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "985aacd70438a64d425748deb83cb276f23b375f87c1d08da3d5a38a7e33116b"),
+        "16ef1e49338c22d2f11e04e9a9256f7fb4d4456c18ebeaf2e048882f233f3cd1"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
-        "250dc7d11120da8d8fd0fbe67c75613274a01a83dd066ab0aea937e86e0355ca"),
+        "93014f49026181dc567b539566a611dcbc809760658245168cefdc48605353e9"),
     "synth_grid(8,16,4)": (
         lambda: synth_grid(8, 16, 4)[0],
-        "247da6b04c1bacf2fe92922faa5954c91515ff255b21c58673b82c14db7d1813"),
+        "6b12d6a2c792318e249aad6d5847b04a639663f9f1e7c01a76e18f6552dca052"),
     "synth_grid(2,32,1)": (
         lambda: synth_grid(2, 32, 1)[0],
-        "56e86d33eab1deeacb44e0b41b5f5a9c95493399555476fdbc0345a2704e2ae5"),
+        "0cf444d9420e7463908c35b45f0e32006ec731c2a1c9f310f47d756ac323a5e5"),
     "synth_grid(16,16,8)": (
         lambda: synth_grid(16, 16, 8)[0],
-        "29adff80c54b03568581796011db8c7113f98143dff576d3f84a11ebb5325cee"),
+        "ff7f1dc9262aae84fbfa49ad9888c5ec6f45aa5db9ce0a9aa310111cf468f66a"),
     "synth_grid(16,16,2)": (
         lambda: synth_grid(16, 16, 2)[0],
-        "9a098ef6e58e09ff2894ac2c572279c286b71f1d450707faed74055a286ca728"),
+        "117f84d005b7d6e10b46055456aababd438a442d60e30354b243c59cef702720"),
     "synth_grid(3,6,2)": (
         lambda: synth_grid(3, 6, 2)[0],
-        "ca7c5cdd30b600c9245da4aa28202ca117a51a7907fdfe48b368e7c4f5ebbcc5"),
+        "e2548d6f8d02f3a2c2d40f38838fd970eeaef8d93ad66370d77dbf6439ae54c9"),
     "synth_grid(4,64,2)": (
         lambda: synth_grid(4, 64, 2)[0],
-        "2a8a6c09d733df596485d34178a05592a558dda162af4754a409494c2f0b703e"),
+        "66c1662d9b3e280dfabf22a0753413ba90b71bdc89f6529fd7dffc6536f9152a"),
     "dicke_unitary_path(64,4)": (
         lambda: dicke_unitary_path(64, 4),
-        "870577a43f3e56b1ae6ebcdcf6d09d61e75c105e9d68c8f32705b3c5c3046cc8"),
+        "1a111bf70340f5d8162d1b529d6c89df62000ccf3dcf094021c4608480788e4d"),
     "prepare_symmetric(complete,8,3)": (
         lambda: prepare_symmetric("complete", 8, 3, [0.5] * 4),
-        "b94c7ee95b41fb6d292e3c687753652656cc8156666e91bfc6ec1d0c8f92b1b6"),
+        "0cb61b003c421fb329390b44740f4bdc44474667252967c4b12fef151a564f52"),
     "prepare_dicke(grid,(2,4),2)": (
         lambda: prepare_dicke("grid", (2, 4), 2),
-        "dcb2aec1ea80c28a9ab8d5e14a2b268042201c1358309490e47946b13867ead8"),
+        "4b73a51a975084d4db929e507bbb59153ee923d7374a6a2643e076fbecb16df4"),
 }
 
 
@@ -613,13 +613,13 @@ def test_dumps_byte_identical(case):
 # those of its divide-and-route template, and the .plan file shows them
 PLAN_REPORT_SHA256 = {
     (16, 16, 8):
-        "51ce56a6104a6fd36927d870c0489ab866e331ee7b99e00c459830f0c75e6537",
+        "f8f4ba68d2f6a85258f5c825c3112cb1108a05921ffda362958855b7445f9323",
     (16, 16, 2):
-        "e134da530de61b880b94ba7145f9a81bdef8176bfbebc4e01995d853680f6f89",
+        "d8d160899d071f1dcec107732fff1ddb3fa595ffa6977fb7c4a93b3d282474ff",
     (4, 64, 2):
-        "e691c5b3c2919573ba510fe3c5681b426378a7cb6ea628bef41707cf3652cd14",
+        "53a5c476b923936bde50b0b4fa8547bea9c17b9fb28dfefefcdda80ab9789da4",
     (3, 6, 2):
-        "37ca1bc3d05a06e1b15088f1dc34ef436188438b4f71df71dd7020c36fbd270b",
+        "f145382ad2d7e0e604d1ee5c276112850a08e62faa82c1c3bd1edbe95b3adb8c",
 }
 
 

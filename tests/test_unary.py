@@ -6,9 +6,9 @@ import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
                                 validate_connectivity, x_gate)
-from dickesynth.unary import (DivideSpec, _givens_block, dicke_unitary_path,
-                              divide_unitary_path, hyper_weights,
-                              unary_amplitude_prep)
+from dickesynth.unary import (DivideSpec, _divide_givens, _givens_block,
+                              dicke_unitary_path, divide_unitary_path,
+                              hyper_weights, unary_amplitude_prep)
 from dickesynth.verify import _evolve, dicke_reference, fidelity, simulate
 
 
@@ -88,13 +88,47 @@ def test_givens_block_cx_counts():
     assert _cx_count(c) == 6
 
 
-# CNOT counts of the gray-code multiplexor and the 2-CNOT Givens block
-LADDER_CX_MAX = {(64, 2): 742, (64, 32): 8992}
+# CNOT counts of the gray-code multiplexor and the 2-CNOT Givens block,
+# which every sweep's top block takes
+LADDER_CX_MAX = {(64, 2): 498, (64, 32): 8868}
 
 
 @pytest.mark.parametrize("n,k", list(LADDER_CX_MAX))
 def test_dicke_path_cx_count(n, k):
     assert _cx_count(dicke_unitary_path(n, k)) <= LADDER_CX_MAX[(n, k)]
+
+
+def test_dicke_path_weight_one_is_givens_blocks():
+    # at k = 1 every block is a sweep's top block: 2 CNOTs each
+    for n in range(2, 41):
+        assert _cx_count(dicke_unitary_path(n, 1)) == 2 * (n - 1)
+
+
+def _unary_error(c, k, want):
+    """Largest amplitude error of c over every unary input l <= k (ones on
+    qubits 0..l-1), through the support-only kernel, so it runs above the
+    dense simulator's cap. want(l) maps basis index -> amplitude."""
+    worst = 0.0
+    for ell in range(k + 1):
+        idx, amp = _evolve(c, np.array([unary_index(ell, k)]),
+                           np.array([1.0 + 0j]))
+        got = dict(zip(idx.tolist(), amp))
+        w = want(ell)
+        worst = max(worst, max(abs(got.get(x, 0.0) - w.get(x, 0.0))
+                               for x in got.keys() | w.keys()))
+    return worst
+
+
+def _dicke_amplitudes(n, ell):
+    amp = 1.0 / math.sqrt(math.comb(n, ell))
+    return {sum(1 << q for q in ones): amp
+            for ones in itertools.combinations(range(n), ell)}
+
+
+@pytest.mark.parametrize("n,k", [(40, 3), (36, 5), (33, 1)])
+def test_dicke_path_exact_above_simulator_cap(n, k):
+    c = dicke_unitary_path(n, k)
+    assert _unary_error(c, k, lambda ell: _dicke_amplitudes(n, ell)) < 1e-12
 
 
 def test_dicke_path_rejects_bad_k():
@@ -187,22 +221,52 @@ def _conveyor(n, m, k):
                                           right=list(range(k))))
 
 
-def test_divide_path_above_simulator_cap():
-    # 32 qubits: the support-only kernel checks every unary input
-    n, m, k = 40, 22, 16
-    c = _conveyor(n, m, k)
-    for ell in range(k + 1):
-        idx, amp = _evolve(c, np.array([unary_index(ell, k)]),
-                           np.array([1.0 + 0j]))
-        got = dict(zip(idx.tolist(), amp))
+def _conveyor_error(n, m, k):
+    """_unary_error of the conveyor against the hypergeometric split: S2
+    (positions 0..k-1) keeps l - i ones, S1 (k..2k-1) takes i."""
+    def want(ell):
         w = hyper_weights(n, m, k, ell)
-        want = {unary_index(i, k) << k | unary_index(ell - i, k): w[i]
+        return {unary_index(i, k) << k | unary_index(ell - i, k): w[i]
                 for i in range(ell + 1)}
-        assert max(abs(got.get(x, 0.0) - want.get(x, 0.0))
-                   for x in got.keys() | want.keys()) < 1e-12
+    return _unary_error(_conveyor(n, m, k), k, want)
 
 
-CONVEYOR_CX_MAX = {4: 214, 8: 878, 16: 3550}
+def test_divide_path_above_simulator_cap():
+    # 32 qubits
+    assert _conveyor_error(40, 22, 16) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_divide_path_exact_every_shape(k):
+    # the pruned guards rely on no input holding more than k ones, so every
+    # shape and every count l <= k is checked
+    for n, m in [(2 * k, k), (3 * k, k), (3 * k, 2 * k), (4 * k + 1, 2 * k),
+                 (5 * k, 3 * k)]:
+        assert _conveyor_error(n, m, k) < 1e-12, (n, m)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_divide_path_nearest_neighbour(k):
+    c = _conveyor(4 * k, 2 * k, k)
+    assert validate_connectivity(c, ConnectivityGraph.path(2 * k)) == []
+
+
+@pytest.mark.parametrize("u,i,k,cx", [(1, 1, 3, 14), (2, 1, 3, 10),
+                                      (1, 0, 3, 6), (3, 0, 3, 2)])
+def test_divide_meeting_cx_count(u, i, k, cx):
+    # S1 cell i - 1, S2 cell u - 1, S1 cell i, S2 cell u along the path;
+    # guards s2[u] (while u + i < k) and s1[i - 1] (for i > 0)
+    cells = [("s1", i - 1), ("s2", u - 1), ("s1", i), ("s2", u)]
+    w2 = {ell: hyper_weights(4 * k, 2 * k, k, ell) ** 2
+          for ell in range(k + 1)}
+    c = Circuit(4)
+    _divide_givens(c, cells, 1, u, i, k, w2)
+    assert _cx_count(c) == cx
+    assert all(abs(a - b) == 1 for g in c.gates if g.kind == "cx"
+               for a, b in [g.qubits])
+
+
+CONVEYOR_CX_MAX = {4: 182, 8: 786, 16: 3242}
 
 
 @pytest.mark.parametrize("k", list(CONVEYOR_CX_MAX))
