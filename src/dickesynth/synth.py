@@ -50,7 +50,10 @@ class PlanNode:
     idle qubits; every all-to-all node) or "path" (the nearest-neighbor
     conveyor; every grid node). ``depth``, ``size`` and ``cx`` are that
     divide's ASAP depth, gate count and CNOT count; a grid node's cover the
-    divide and the slab route that follows it."""
+    divide and the slab route that follows it. An all-to-all node's are
+    the standalone divide's, its unary <-> one-hot conversions included,
+    though the placed circuit keeps the count one-hot between levels and
+    drops them."""
 
     layer: int
     n_node: int
@@ -192,6 +195,11 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
     s1 and s2 below its widest count and its own slots. So ASAP layering
     overlaps the two wherever their slots are disjoint, with no extra
     gates.
+
+    synth_alltoall keeps the count one-hot between levels and places
+    this divide without steps (a) and (c), cut off by length. So the gate
+    list is exactly u_uo(S2), the one-hot core, inverse(u_uo(S1)) and
+    inverse(u_uo(S2)), in that order.
     """
     anc = list(ancilla)
     k = spec.k
@@ -250,13 +258,25 @@ def synth_alltoall(n: int, k: int) -> tuple:
     every block of that size. A block of nn qubits divides when its
     nn - 2k idle qubits hold the 2k ancilla divide_unitary_ancilla needs
     (nn >= 4k) and takes the ladder otherwise. Depth is
-    O(log k log(n/k) + k)."""
+    O(log k log(n/k) + k).
+
+    The count stays one-hot between levels. A child's S2 is its parent's
+    S2 (low child) or S1 (high child), so each divide's step (a) would
+    undo half of its parent's step (c) on the same qubits. So u_uo runs
+    once on qubits 0..k-1 before the root divide, each divide is placed
+    without steps (a) and (c), and each tail gets inverse(u_uo) on its
+    count register just before its ladder. A root that takes the ladder
+    gets no conversion. The plan's node statistics are the standalone
+    divide's, steps (a) and (c) included."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
     plan = SynthesisPlan(g, n, k)
     c = Circuit(n)
-    # block size -> (variant, template, template depth, its CNOTs)
+    to_onehot = u_uo(range(k))
+    conv = to_onehot.size   # gates of one unary <-> one-hot conversion
+    # block size -> ("ancilla", placed core, divide depth, size, CNOTs)
+    # or ("ladder", placed ladder)
     chosen: dict = {}
 
     def choose(nn: int) -> tuple:
@@ -267,19 +287,25 @@ def synth_alltoall(n: int, k: int) -> tuple:
                                   left=tuple(range(half, half + k)),
                                   right=tuple(range(k)))
                 idle = tuple(range(k, half)) + tuple(range(half + k, nn))
-                variant = "ancilla"
                 template = divide_unitary_ancilla(spec, idle, num_qubits=nn)
+                # drop step (a) and both runs of step (c)
+                core = template.gates[conv:template.size - 2 * conv]
+                chosen[nn] = ("ancilla", Circuit(nn, core),
+                              asap_layering(template).depth, template.size,
+                              _cx_count(template.gates))
             else:
-                variant, template = "ladder", dicke_unitary_path(nn, k)
-            chosen[nn] = (variant, template, asap_layering(template).depth,
-                          _cx_count(template.gates))
+                ladder = dicke_unitary_path(nn, k)
+                if nn < n:            # the count arrives one-hot
+                    ladder = Circuit(nn, [*inverse(to_onehot).gates,
+                                          *ladder.gates])
+                chosen[nn] = ("ladder", ladder)
         return chosen[nn]
 
     def rec(base: int, nn: int, layer: int) -> None:
-        variant, template, depth, cx = choose(nn)
+        variant, placed, *stats = choose(nn)
         # remap_qubits checks the offset map once, not each gate
         shift = range(base, base + nn)
-        c.gates.extend(remap_qubits(template, shift, n).gates)
+        c.gates.extend(remap_qubits(placed, shift, n).gates)
         if variant == "ladder":
             plan.tail_units.append(tuple(shift))
             return
@@ -287,11 +313,12 @@ def synth_alltoall(n: int, k: int) -> tuple:
         s2 = tuple(range(base, base + k))
         s1 = tuple(range(base + half, base + half + k))
         plan.recursion_tree.append(PlanNode(layer, nn, nn - half, s1, s2,
-                                            variant, depth, template.size,
-                                            cx))
+                                            variant, *stats))
         rec(base, half, layer + 1)
         rec(base + half, nn - half, layer + 1)
 
+    if choose(n)[0] == "ancilla":
+        c.gates.extend(to_onehot.gates)
     rec(0, n, 1)
     return c, plan
 

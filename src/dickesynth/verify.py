@@ -76,23 +76,24 @@ def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
 
 def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray) -> tuple:
     """simulate's kernel: apply c to the state with amplitudes amp on the
-    int64 basis indices idx, returning the new support and amplitudes.
-    It never builds a 2^n vector, so it runs on up to 62 qubits while
-    the support stays small."""
+    basis indices idx, returning the new support and amplitudes in idx's
+    integer dtype. It never builds a 2^n vector, so it runs on up to 62
+    qubits with int64 indices, or 64 with uint64, while the support
+    stays small."""
     for g in c.gates:
         if g.kind == "cx":
             ctrl, targ = g.qubits
             idx = idx ^ (((idx >> ctrl) & 1) << targ)
             continue
         (targ,) = g.qubits
-        bit = 1 << targ
+        bit = idx.dtype.type(1 << targ)
         pairs, slot = np.unique(idx & ~bit, return_inverse=True)
         # column 0 holds the target-bit-0 amplitude of each pair, column 1
         # the target-bit-1 one; indices are distinct, so no two collide
         half = np.zeros((len(pairs), 2), dtype=complex)
         half[slot, (idx >> targ) & 1] = amp
         amp = (half @ gate_matrix(g).T).ravel()
-        idx = (pairs[:, None] | np.array([0, bit], dtype=np.int64)).ravel()
+        idx = (pairs[:, None] | np.array([0, bit], dtype=idx.dtype)).ravel()
         keep = np.abs(amp) > 1e-14
         idx, amp = idx[keep], amp[keep]
     return idx, amp

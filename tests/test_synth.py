@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
-                                asap_layering, dumps, remap_qubits,
+                                asap_layering, dumps, inverse, remap_qubits,
                                 validate_connectivity)
+from dickesynth.encoding import u_uo
 from dickesynth.synth import (SynthesisPlan, _pack_rows,
                               divide_unitary_ancilla, prepare_dicke,
                               prepare_symmetric, synth_alltoall, synth_grid)
@@ -177,6 +178,21 @@ def _top_divide(nn, k):
     return divide_unitary_ancilla(spec, idle, num_qubits=nn)
 
 
+@pytest.mark.parametrize("nn,k", [(8, 1), (16, 2), (64, 4), (128, 16)])
+def test_divide_ancilla_opens_and_closes_with_conversions(nn, k):
+    # synth_alltoall places the divide without its first and last
+    # conversion runs, cut by length: the gates are exactly u_uo(S2), the
+    # one-hot core, inverse(u_uo(S1)) and inverse(u_uo(S2))
+    spec, _ = _top_spec(nn, k)
+    gates = _top_divide(nn, k).gates
+    conv = len(u_uo(range(k)).gates)
+    assert len(u_uo(spec.left).gates) == len(u_uo(spec.right).gates) == conv
+    assert gates[:conv] == u_uo(spec.right).gates
+    assert gates[len(gates) - 2 * conv:] == (inverse(u_uo(spec.left)).gates +
+                                             inverse(u_uo(spec.right)).gates)
+    assert len(gates) > 3 * conv
+
+
 def test_divide_ancilla_sixty_qubits_mixed_widths():
     # above the dense simulator's cap: 40 idle qubits hold mixed-width
     # batches, checked on every count through the support-only kernel
@@ -220,7 +236,7 @@ def test_divide_ancilla_bottom_level_depth(nn, k, depth):
 
 
 def test_alltoall_depth_target():
-    for n, k, depth in [(1024, 8, 684), (512, 16, 1196)]:
+    for n, k, depth in [(1024, 8, 613), (512, 16, 1141)]:
         c, _ = synth_alltoall(n, k)
         assert asap_layering(c).depth <= depth, (n, k)
 
@@ -292,12 +308,20 @@ def _cx(c):
                               "grid-8x16-4", "grid-2x32-1"])
 def test_plan_nodes_record_cx(make):
     # the circuit is its divide nodes and its tail ladders laid end to end,
-    # so their CNOT counts must add up to the circuit's
+    # so their CNOT counts must add up to the circuit's. On the complete
+    # graph the count stays one-hot between levels: each node records its
+    # standalone divide's three conversions, and the circuit holds one at
+    # the root and one per tail, 2 per node - 2 fewer in all
     c, plan = make()
     tails = sum(_cx(dicke_unitary_path(len(u), min(plan.k, len(u))))
                 for u in plan.tail_units)
-    assert plan.recursion_tree
-    assert sum(node.cx for node in plan.recursion_tree) + tails == _cx(c)
+    nodes = plan.recursion_tree
+    dropped = 0
+    if plan.topology.topology_tag == "complete":
+        dropped = (2 * len(nodes) - 2) * _cx(u_uo(range(plan.k)))
+        assert dropped > 0
+    assert nodes
+    assert sum(node.cx for node in nodes) + tails - dropped == _cx(c)
     report = plan.report()
     for node in plan.recursion_tree:
         assert 0 < node.cx < node.size
@@ -331,10 +355,22 @@ def _alltoall_every_ladder(n, k):
         return chosen[nn]
 
     c = Circuit(n)
+    # the count stays one-hot between levels: one u_uo before a root
+    # divide, no conversion runs in a placed divide, and inverse(u_uo)
+    # before each tail ladder under one
+    conv = len(u_uo(range(k)).gates)
+    if choose(n)[3]:
+        c.extend(u_uo(range(k)).gates)
 
     def rec(base, nn):
         _, template, _, divides = choose(nn)
-        c.extend(remap_qubits(template, range(base, base + nn), n).gates)
+        gates = template.gates
+        if divides:
+            gates = gates[conv:len(gates) - 2 * conv]
+        elif nn < n:
+            gates = inverse(u_uo(range(k))).gates + gates
+        c.extend(remap_qubits(Circuit(nn, gates), range(base, base + nn),
+                              n).gates)
         if divides:
             rec(base, nn // 2)
             rec(base + nn // 2, nn - nn // 2)
@@ -373,6 +409,52 @@ def test_alltoall_no_deeper_or_larger_than_before(n, k):
     depth, size = PRE_CHOICE_DEPTH_SIZE[(n, k)]
     assert asap_layering(c).depth <= depth
     assert c.size <= size
+
+
+def _alltoall_faults(c, n, k):
+    """What is wrong with c as a Dicke unitary, checked on every unary
+    input l <= k through the support-only kernel with uint64 indices (up
+    to 64 qubits): a support other than C(n, l) strings, a string of
+    weight other than l, or an amplitude off 1/sqrt(C(n, l)) by 1e-12."""
+    faults = []
+    for ell in range(k + 1):
+        idx, amp = _evolve(c, np.array([(1 << ell) - 1], dtype=np.uint64),
+                           np.array([1.0 + 0j]))
+        size = math.comb(n, ell)
+        if len(idx) != size:
+            faults.append(f"l={ell}: support {len(idx)} != {size}")
+        if {int(i).bit_count() for i in idx.tolist()} != {ell}:
+            faults.append(f"l={ell}: a string of weight other than {ell}")
+        gap = np.abs(amp - 1 / math.sqrt(size)).max()
+        if not gap < 1e-12:
+            faults.append(f"l={ell}: max |amp - 1/sqrt(C)| = {gap}")
+    return faults
+
+
+@pytest.mark.parametrize("n,k", [(24, 3), (32, 2), (40, 4), (48, 3),
+                                 (64, 2)])
+def test_alltoall_exact_above_simulator_cap(n, k):
+    c, plan = synth_alltoall(n, k)
+    assert plan.recursion_tree
+    assert _alltoall_faults(c, n, k) == []
+
+
+def test_alltoall_dropped_conversion_is_caught():
+    # the root's u_uo and each tail's inverse(u_uo) are what keep the count
+    # one-hot between levels; a circuit missing either is wrong
+    n, k = 24, 3
+    c, plan = synth_alltoall(n, k)
+    conv = len(u_uo(range(k)).gates)
+    assert c.gates[:conv] == u_uo(range(k)).gates
+    no_root = Circuit(n, c.gates[conv:])
+    # the last tail placed: its conversion, then its ladder
+    tail = plan.tail_units[-1]
+    at = c.size - dicke_unitary_path(len(tail), k).size - conv
+    assert c.gates[at:at + conv] == remap_qubits(inverse(u_uo(range(k))),
+                                                 tail, n).gates
+    no_tail = Circuit(n, c.gates[:at] + c.gates[at + conv:])
+    assert _alltoall_faults(no_root, n, k)
+    assert _alltoall_faults(no_tail, n, k)
 
 
 def test_alltoall_large_k_delegates_to_ladder():
@@ -560,16 +642,16 @@ def test_prepare_symmetric_rejects_non_finite(alpha):
 DUMPS_SHA256 = {
     "synth_alltoall(16,2)": (
         lambda: synth_alltoall(16, 2)[0],
-        "6cf775453ede992f35a56e44ec5d73bd3c83a858c6f2ee2f1405516f1e416607"),
+        "09d9bd2165009bec8c86d331b4756b10d55366b467c09fb7af2b4961c1dd3854"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "945b1a69febf34ef3274b71b02bd2f40a3eff3e556fa5ee48177fab659cecd7a"),
+        "7c6fc455782c79d25b8da7e6bc7a6dc126224b3ccc133ccff5fc756db31fc420"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "ff462c13328844a49888a997329a148b91ec1bc757fe330f7c459f667ad43855"),
+        "5d5431835ef039dceb62fee86c5721ae5e931427b81d39a6562f766a4214de97"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "16ef1e49338c22d2f11e04e9a9256f7fb4d4456c18ebeaf2e048882f233f3cd1"),
+        "96f60cf84e2363fa791223fbfa88d792879f0a0653b825ed1c19565e618bc4ff"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
         "93014f49026181dc567b539566a611dcbc809760658245168cefdc48605353e9"),

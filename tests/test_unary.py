@@ -197,12 +197,14 @@ def test_divide_path_matches_hypergeometric(n, m, k):
 
 def test_divide_path_connectivity_depth_size():
     # path layout is S2 then S1, so the right register owns the low positions
-    for n, m, k in [(12, 6, 4), (16, 8, 5)]:
+    # depth pinned per case at its measured value, so a regression in the
+    # meeting schedule shows here
+    for n, m, k, depth in [(12, 6, 4, 148), (16, 8, 5, 221)]:
         c = divide_unitary_path(DivideSpec(n=n, m=m, k=k,
                                            left=list(range(k, 2 * k)),
                                            right=list(range(k))))
         assert validate_connectivity(c, ConnectivityGraph.path(2 * k)) == []
-        assert asap_layering(c).depth <= 200 * k
+        assert asap_layering(c).depth <= depth
         assert c.size <= 32 * k * k
 
 
