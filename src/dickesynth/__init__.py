@@ -2,7 +2,8 @@
 
 Compiles (n,k)-Dicke-state and symmetric-state preparation into 1-qubit +
 CNOT circuits for all-to-all, 2D-grid, and path qubit topologies, with a
-dense state-vector verifier and a light-cone depth-lower-bound auditor.
+sparse-support state-vector verifier and a light-cone depth-lower-bound
+auditor.
 """
 
 from .circuit import (

@@ -214,11 +214,10 @@ def cmd_bench(args) -> int:
                 if n1 > n2:
                     continue
                 dims = (n1, n2)
-            circuit, _ = _synthesize(topology, dims, k)
+            circuit, plan = _synthesize(topology, dims, k)
             report = asap_layering(circuit)
             if topology in ("grid", "path"):
-                graph = _connectivity(topology, dims, n)
-                if validate_connectivity(circuit, graph):
+                if validate_connectivity(circuit, plan.topology):
                     print(f"connectivity violation at n={n} k={k}",
                           file=sys.stderr)
                     return 1
@@ -241,11 +240,13 @@ def cmd_lightcone(args) -> int:
     except (OSError, ValueError) as e:
         raise _UsageError(f"cannot read circuit: {e}") from e
     topology, dims = _parse_topology(args.topology)
-    graph = _connectivity(topology, dims, circuit.num_qubits)
-    try:
-        report = audit_lower_bound(circuit, graph)
-    except ValueError as e:  # topology size does not match the circuit
-        raise _UsageError(str(e)) from e
+    n = circuit.num_qubits
+    # a grid's size is checked before it is built: its edge set grows with
+    # N1*N2, however few qubits the circuit has
+    if dims is not None and dims[0] * dims[1] != n:
+        raise _UsageError(f"topology has {dims[0] * dims[1]} vertices, "
+                          f"circuit has {n} qubits")
+    report = audit_lower_bound(circuit, _connectivity(topology, dims, n))
     print(report.text())
     return 0 if report.passed else 3
 

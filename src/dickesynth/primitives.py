@@ -1,5 +1,5 @@
 """Reusable sub-circuits: the 6-CNOT Toffoli, the doubling fanout copy,
-and the gray-code uniformly controlled Ry.
+and the steps of the gray-code uniformly controlled Ry.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from .circuit import Circuit
 __all__ = [
     "build_ccx",
     "fanout_copy",
-    "mux_ry",
 ]
 
 _T = math.pi / 4  # T-gate phase
@@ -78,39 +77,15 @@ def fanout_copy(src, dst_blocks) -> Circuit:
     return c
 
 
-def mux_ry(controls, target: int, angles, circuit: Circuit) -> None:
-    """Uniformly controlled Ry: apply Ry(angles[x]) to target when the
-    control register holds basis value x (controls[0] = least significant).
-
-    Controls the table does not depend on are dropped first. On the c that
-    remain this is the gray-code multiplexor (Moettoenen et al.,
-    quant-ph/0407010) of _gray_steps: 2^c CNOTs, the top control's only 2;
-    zero angles emit no rotation, and an all-zero table emits nothing.
-    """
-    controls = list(controls)
-    angles = [float(a) for a in angles]
-    if len(angles) != 1 << len(controls):
-        raise ValueError("angle table size mismatch")
-    for b in range(len(controls) - 1, -1, -1):
-        bit = 1 << b
-        low = [a for x, a in enumerate(angles) if not x & bit]
-        if low == [a for x, a in enumerate(angles) if x & bit]:
-            angles = low
-            del controls[b]
-    for alpha, flip in _gray_steps(angles):
-        if alpha != 0.0:
-            circuit.ry(target, alpha)
-        if controls:
-            circuit.cx(controls[flip], target)
-
-
 def _gray_steps(angles) -> list:
-    """The steps (alpha_j, flip_j), j < 2^c, of the gray-code multiplexor
-    for a table of 2^c angles: emit Ry(alpha_j) on the target, then one CX
+    """The steps (alpha_j, flip_j), j < 2^c, of the gray-code uniformly
+    controlled Ry of Moettoenen et al. (quant-ph/0407010), which applies
+    Ry(angles[x]) to a target when its c >= 1 controls hold x (control 0
+    least significant). Step j is Ry(alpha_j) on the target, then one CX
     from control flip_j, the bit that flips between gray codes g_j and
-    g_{j+1}. Here g_j = j ^ (j >> 1) and alpha_j = 2^-c sum_x
-    (-1)^popcount(x & g_j) angles[x]; the last step wraps to the top
-    control, so the target ends where it started."""
+    g_{j+1}: 2^c CNOTs, the top control's only 2. Here g_j = j ^ (j >> 1)
+    and alpha_j = 2^-c sum_x (-1)^popcount(x & g_j) angles[x]; the last
+    step wraps to the top control, so the target ends where it started."""
     angles = list(angles)
     size = len(angles)
     # in-place Walsh-Hadamard: angles[s] <- sum_x (-1)^popcount(x & s) angles[x]

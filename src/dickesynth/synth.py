@@ -164,7 +164,7 @@ def _pack_rows(k: int, anc: list, s1: list, s2: list) -> list:
     return batches
 
 
-def divide_unitary_ancilla(spec: DivideSpec, ancilla=(),
+def divide_unitary_ancilla(spec: DivideSpec, ancilla,
                            num_qubits: int | None = None) -> Circuit:
     """Divide unitary D^{n,m}_k using N >= 2k clean ancilla, restored on
     exit; fewer raise ValueError.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, remap_qubits
-from .primitives import _gray_steps, _h, mux_ry
+from .primitives import _gray_steps, _h
 
 __all__ = [
     "DivideSpec",
@@ -84,9 +84,12 @@ def _givens_block(c: Circuit, hi: int, lo: int, far: int | None,
         _h(c, lo)
         return
     c.cx(hi, lo)
-    # controls (far, lo): (0,1) -> 2 theta, (1,1) -> pi
-    # (index bit0 = far, bit1 = lo)
-    mux_ry([far, lo], hi, (0.0, 0.0, 2.0 * theta, math.pi), c)
+    # gray-code multiplexor on hi, controls (far, lo): (0,1) -> 2 theta,
+    # (1,1) -> pi (index bit0 = far, bit1 = lo)
+    for alpha, flip in _gray_steps((0.0, 0.0, 2.0 * theta, math.pi)):
+        if alpha != 0.0:
+            c.ry(hi, alpha)
+        c.cx((far, lo)[flip], hi)
     c.cx(hi, lo)
 
 

@@ -42,7 +42,7 @@ def basis_state(num_qubits: int, bits: str | int) -> np.ndarray:
     return v
 
 
-def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
+def simulate(c: Circuit, state=None) -> np.ndarray:
     """Apply c to a basis string / index / state vector (default |0...0>).
 
     The state is held on its support only: basis indices with their
@@ -52,8 +52,8 @@ def simulate(c: Circuit, state=None, cap: int = SIMULATOR_CAP) -> np.ndarray:
     reach about C(n, k) of the 2^n basis states.
     """
     n = c.num_qubits
-    if n > cap:
-        raise ValueError(f"{n} qubits exceeds simulator cap {cap}")
+    if n > SIMULATOR_CAP:
+        raise ValueError(f"{n} qubits exceeds simulator cap {SIMULATOR_CAP}")
     if state is None:
         psi = basis_state(n, 0)
     elif isinstance(state, (str, int, np.integer)):

@@ -15,7 +15,7 @@ import pytest
 
 from dickesynth.circuit import (ConnectivityGraph, asap_layering,
                                 validate_connectivity)
-from dickesynth.encoding import u_uo, wave_schedule
+from dickesynth.encoding import u_uo
 from dickesynth.lightcone import audit_lower_bound
 from dickesynth.synth import (divide_unitary_ancilla, prepare_symmetric,
                               synth_alltoall, synth_grid)
@@ -120,30 +120,6 @@ def test_criterion_03_encoding_arithmetic_exhaustive():
         for ell in range(k + 1):
             ok &= _peak(simulate(c, unary_index(ell))) == onehot_index(ell)
     report(3, "unary -> one-hot exhaustive k<=6", ok)
-
-
-# --- 4. wave-schedule structure --------------------------------------------------
-
-
-def test_criterion_04_wave_schedule_structure():
-    ok = True
-    for k in range(2, 21):
-        for variant in ("minus", "plus"):
-            groups = wave_schedule(k, variant)
-            ok &= len(groups) == 2 * k - 3
-            pairs = []
-            for group in groups:
-                used = set()
-                for s_idx, t_idx, w_idx in group:
-                    trip = {("s", s_idx), ("t", t_idx), ("w", w_idx)}
-                    ok &= not (trip & used)   # qubit-disjoint within a group
-                    used |= trip
-                    pairs.append((s_idx, t_idx) if variant == "minus"
-                                 else (s_idx, s_idx + t_idx))
-            # every pair of the triangle {(r,j): 1<=r<j<=k} exactly once
-            want = {(r, j) for j in range(2, k + 1) for r in range(1, j)}
-            ok &= len(pairs) == len(want) and set(pairs) == want
-    report(4, "wave schedule: 2k-3 groups, disjoint, full coverage", ok)
 
 
 # --- 5/6/7. structural depth regressions + connectivity --------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from dickesynth import cli as cli_module
 from dickesynth import synth as synth_module
-from dickesynth.circuit import loads
+from dickesynth.circuit import ConnectivityGraph, loads
 from dickesynth.cli import main
 from dickesynth.verify import dicke_reference, fidelity, simulate
 
@@ -253,6 +253,22 @@ def test_bench_grid_without_rows_is_one_row(capsys):
                for line in default_out.splitlines()[1:])
 
 
+def test_bench_builds_each_grid_once(monkeypatch, capsys):
+    calls = []
+    real = ConnectivityGraph.grid
+
+    def counting(n1, n2):
+        calls.append((n1, n2))
+        return real(n1, n2)
+
+    monkeypatch.setattr(ConnectivityGraph, "grid", staticmethod(counting))
+    assert run(["bench", "--topology", "grid", "--rows", "2", "--n-range",
+                "8,16", "--k-range", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    # the connectivity check reuses the synthesis plan's graph
+    assert calls == [(2, 4), (2, 8)]
+
+
 def test_bench_bad_range():
     for text in ["abc", "4..x", "x..8", "1..2..4"]:
         assert run(["bench", "--topology", "complete", "--n-range",
@@ -293,6 +309,20 @@ def test_lightcone_topology_size_mismatch(tmp_path):
     out = synth_file(tmp_path, ["complete"], 4, 1)
     assert run(["lightcone", "--circuit", str(out), "--topology", "grid",
                 "2x3"]) == 2
+
+
+def test_lightcone_grid_size_checked_before_build(tmp_path, monkeypatch,
+                                                  capsys):
+    out = synth_file(tmp_path, ["complete"], 4, 1)
+
+    def refuse(n1, n2):
+        raise AssertionError(f"grid {n1}x{n2} built for a 4-qubit circuit")
+
+    monkeypatch.setattr(ConnectivityGraph, "grid", staticmethod(refuse))
+    assert run(["lightcone", "--circuit", str(out), "--topology", "grid",
+                "3x5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: topology has 15 vertices, circuit has 4 qubits\n")
 
 
 def test_lightcone_unknown_topology(tmp_path):

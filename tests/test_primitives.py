@@ -3,7 +3,7 @@ import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
                                 grid_index)
-from dickesynth.primitives import build_ccx, fanout_copy, mux_ry
+from dickesynth.primitives import _gray_steps, build_ccx, fanout_copy
 from dickesynth.verify import simulate
 
 
@@ -49,14 +49,14 @@ def test_fanout_rejects_overlap():
         fanout_copy([0, 1], [[1, 2]])
 
 
-# --- uniformly controlled Ry --------------------------------------------------
+# --- gray-code uniformly controlled Ry ---------------------------------------
 
 
 def _unitary(c):
     return np.stack([simulate(c, x) for x in range(1 << c.num_qubits)], axis=1)
 
 
-def _dense_mux(controls, target, angles, n):
+def _dense_gray_steps(controls, target, angles, n):
     """Reference matrix: Ry(angles[x]) on target when controls hold x."""
     u = np.zeros((1 << n, 1 << n))
     for col in range(1 << n):
@@ -82,36 +82,22 @@ def _table(c, kind, rng):
     return table
 
 
-@pytest.mark.parametrize("c", range(5))
+@pytest.mark.parametrize("c", range(1, 5))
 @pytest.mark.parametrize("kind", ["random", "ignores_low", "top_only", "zero"])
-def test_mux_ry_matches_dense_reference(c, kind):
+def test_gray_steps_match_dense_reference(c, kind):
     rng = np.random.default_rng(c)
     angles = _table(c, kind, rng)
     # controls out of qubit order, target in the middle
     target = c // 2
     controls = [q for q in range(c, -1, -1) if q != target]
     circ = Circuit(c + 1)
-    mux_ry(controls, target, angles, circ)
-    want = _dense_mux(controls, target, angles, c + 1)
+    for alpha, flip in _gray_steps(angles):
+        circ.ry(target, alpha)
+        circ.cx(controls[flip], target)
+    want = _dense_gray_steps(controls, target, angles, c + 1)
     assert np.abs(_unitary(circ) - want).max() < 1e-12
-
-
-@pytest.mark.parametrize("c", range(1, 5))
-def test_mux_ry_gray_code_cx_count(c):
-    rng = np.random.default_rng(10 + c)
-    for kind, relevant in [("random", c), ("ignores_low", c - 1),
-                           ("top_only", 1), ("zero", 0)]:
-        circ = Circuit(c + 1)
-        mux_ry(range(1, c + 1), 0, _table(c, kind, rng), circ)
-        assert sum(g.kind == "cx" for g in circ.gates) == (
-            1 << relevant if relevant else 0)
-
-
-def test_mux_ry_rejects_wrong_table_size():
-    with pytest.raises(ValueError):
-        mux_ry([1, 2], 0, [0.1, 0.2, 0.3], Circuit(3))
-    with pytest.raises(ValueError):
-        mux_ry([], 0, [0.1, 0.2], Circuit(1))
+    # no control is pruned, whatever the table ignores
+    assert sum(g.kind == "cx" for g in circ.gates) == 1 << c
 
 
 # --- grid numbering ---------------------------------------------------------

@@ -66,14 +66,8 @@ def test_divide_ancilla_matches_path_variant(n, m, k):
 
 
 def _output_support(c, index):
-    """{basis index: amplitude} of c applied to a basis input. The dense
-    simulator runs where its 2^n vector is at most 32 MB; above that, its
-    support-only kernel runs on its own."""
-    nq = c.num_qubits
-    if nq <= 21:
-        out = simulate(c, index, cap=nq)
-        idx = np.flatnonzero(out)
-        return dict(zip(idx.tolist(), out[idx]))
+    """{basis index: amplitude} of c applied to a basis input, from the
+    simulator's support-only kernel, which builds no 2^n vector."""
     idx, amp = _evolve(c, np.array([index]), np.array([1.0 + 0j]))
     return dict(zip(idx.tolist(), amp))
 
