@@ -9,7 +9,10 @@ ones occupying qubits 0..l-1:
   while it has the 2k of them that divide needs, and the ladder after.
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
   with the conveyor divide when the grid is tall enough (k >= n2/n1) and a
-  left-to-right column-group sweep otherwise.
+  left-to-right column-group sweep otherwise. The sweep's g groups balance
+  the chain of g conveyor steps against the last group's ladder:
+  g ~ sqrt(L_k n / D_k), with D_k the conveyor's depth and L_k the
+  ladder's layers per qubit, and the widths differ by at most one.
 * ``dicke_unitary_path`` (in :mod:`.unary`): the linear-depth ladder both of
   the above fall back to on small blocks.
 
@@ -411,8 +414,22 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     grid coincides with qubits 0..k-1. Tall case (k >= n2/n1): balanced
     column bisection, one nearest-neighbor divide per node followed by a
     horizontal slab move of the right share, depth O(k log(n/k) + n2).
-    Wide case (k < n2/n1): left-to-right sweep over column groups of
-    capacity ~ n1 k, depth O(n2).
+
+    Wide case (k < n2/n1): a left-to-right chain over g column groups.
+    Step i divides the count of columns [c_i, n2) between group i and the
+    rest and routes the rest's share onto the next group's slab register;
+    group i's ladder then runs beside the later steps. So the depth is
+    about g conveyors (D_k layers each; 5/37/86/148/472 at k = 1/2/3/4/8)
+    plus the last group's ladder, L_k layers per qubit (4/12/17 at
+    k = 1/2/>=3). Minimising g D_k + L_k n / g gives
+    g = round(sqrt(L_k n / D_k)), clamped to [1, n2 // max(k, 2w)] so each
+    group holds the slab register (w = ceil(k/n1) columns) and the route
+    fits. The columns split into g groups whose widths differ by at most
+    one, wider groups last. The last group is the widest and its ladder
+    sets the tail of the depth, so g then drops to the fewest groups no
+    wider than it: more groups would only lengthen the chain. D_k is read
+    off one 2k-qubit conveyor; a grid where only one group fits is one
+    ladder.
 
     Blocks of one shape differ only in their qubits, so each ladder length
     and each divide node's (n, m) is built once per call as a template and
@@ -476,15 +493,23 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
 
         rec(0, n2, 1)
     else:
-        # wide case: linear sweep, one column group per step
-        gw = max(k, 2 * w)
-        c0, layer = 0, 1
-        while n2 - c0 >= 2 * gw:
+        # wide case: g column groups, sized by the rule in the docstring
+        conveyor = asap_layering(divide_unitary_path(DivideSpec(
+            n=2 * k, m=k, k=k, left=tuple(range(k, 2 * k)),
+            right=tuple(range(k))))).depth
+        slope = (4, 12, 17)[min(k, 3) - 1]   # ladder layers per qubit
+        g = round(math.sqrt(slope * n / conveyor))
+        g = max(1, min(g, n2 // max(k, 2 * w)))
+        widest = -(-n2 // g)
+        g = -(-n2 // widest)     # fewest groups no wider than widest
+        q, r = divmod(n2, g)
+        widths = [q] * (g - r) + [q + 1] * r
+        c0 = 0
+        for layer, gw in enumerate(widths[:-1], 1):
             divide_step(c0, n2, c0 + gw, layer)
             tail(c0, gw)
             c0 += gw
-            layer += 1
-        tail(c0, n2 - c0)
+        tail(c0, widths[-1])
     return c, plan
 
 

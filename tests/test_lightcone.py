@@ -174,7 +174,7 @@ AUDIT_DIGESTS = [
     (lambda: prepare_dicke("grid", (8, 8), 4), ConnectivityGraph.grid(8, 8),
      "cbfab40c3620713f9972d07b630111928c91e771e0cb3fdeaadc927c6f46416e"),
     (lambda: prepare_dicke("grid", (2, 16), 1), ConnectivityGraph.grid(2, 16),
-     "715dd249b321ec33e816e61d4a505c4af0404625cabcd99aa4df528a923fea6e"),
+     "42feeeb3687336b44443bf30c0950eb500422f4a330908c02ce5452da22448dd"),
     (lambda: prepare_dicke("path", 16, 2), ConnectivityGraph.path(16),
      "b109068681f448a30219fd8c7c85ffda96dd85486cc964bad61ea05e8e85f34b"),
     (lambda: _hadamards(16), ConnectivityGraph.complete(16),

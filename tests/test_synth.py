@@ -405,7 +405,7 @@ def test_alltoall_no_deeper_or_larger_than_before(n, k):
     assert c.size <= size
 
 
-def _alltoall_faults(c, n, k):
+def _dicke_faults(c, n, k):
     """What is wrong with c as a Dicke unitary, checked on every unary
     input l <= k through the support-only kernel with uint64 indices (up
     to 64 qubits): a support other than C(n, l) strings, a string of
@@ -430,7 +430,7 @@ def _alltoall_faults(c, n, k):
 def test_alltoall_exact_above_simulator_cap(n, k):
     c, plan = synth_alltoall(n, k)
     assert plan.recursion_tree
-    assert _alltoall_faults(c, n, k) == []
+    assert _dicke_faults(c, n, k) == []
 
 
 def test_alltoall_dropped_conversion_is_caught():
@@ -447,8 +447,8 @@ def test_alltoall_dropped_conversion_is_caught():
     assert c.gates[at:at + conv] == remap_qubits(inverse(u_uo(range(k))),
                                                  tail, n).gates
     no_tail = Circuit(n, c.gates[:at] + c.gates[at + conv:])
-    assert _alltoall_faults(no_root, n, k)
-    assert _alltoall_faults(no_tail, n, k)
+    assert _dicke_faults(no_root, n, k)
+    assert _dicke_faults(no_tail, n, k)
 
 
 def test_alltoall_large_k_delegates_to_ladder():
@@ -536,6 +536,77 @@ def test_grid_case2_depth_linear_in_n2():
         c, _ = synth_grid(2, n2, 1)
         depths.append(asap_layering(c).depth / n2)
     assert max(depths) <= 1.5 * min(depths) + 10
+
+
+def _group_widths(plan, n1, n2):
+    """Column widths of a wide grid's groups, left to right, read off the
+    plan's tail units; each unit must be a block of whole adjacent
+    columns, and together they must cover the grid's n2 columns once."""
+    widths, c0 = [], 0
+    for unit in plan.tail_units:
+        cols = sorted({q // n1 for q in unit})
+        assert cols == list(range(c0, c0 + len(cols)))
+        assert len(unit) == n1 * len(cols) == len(set(unit))
+        widths.append(len(cols))
+        c0 += len(cols)
+    assert c0 == n2
+    return widths
+
+
+# (2,21,1) .. (4,14,2) split n2 into groups of two widths
+@pytest.mark.parametrize("n1,n2,k,widths", [
+    (2, 21, 1, [3, 3, 3, 4, 4, 4]), (3, 20, 1, [2] + [3] * 6),
+    (2, 29, 1, [4] + [5] * 5), (3, 18, 2, [4, 4, 5, 5]),
+    (4, 14, 2, [3, 3, 4, 4]), (2, 30, 1, [5] * 6), (2, 7, 3, [7])])
+def test_grid_wide_exact_above_simulator_cap(n1, n2, k, widths):
+    c, plan = synth_grid(n1, n2, k)
+    assert _group_widths(plan, n1, n2) == widths
+    assert validate_connectivity(c, ConnectivityGraph.grid(n1, n2)) == []
+    assert _dicke_faults(c, n1 * n2, k) == []
+
+
+def test_grid_wide_groups_cover_the_columns_evenly():
+    # every wide shape up to 4 x 24: the groups tile the columns, their
+    # widths differ by at most one with the wider last, and each holds the
+    # slab register and the route
+    for n1 in range(2, 5):
+        for n2 in range(n1, 25):
+            for k in range(1, -(-n2 // n1)):
+                widths = _group_widths(synth_grid(n1, n2, k)[1], n1, n2)
+                assert widths == sorted(widths)
+                assert widths[-1] - widths[0] <= 1
+                assert widths[0] >= max(k, 2 * math.ceil(k / n1))
+
+
+# depths before the groups were sized by the balance rule: no wide grid
+# may get deeper than these, including the small k = 1 grids on four and
+# five rows where more groups of two widths cost more than they save, and
+# (2,7,3), which stays one ladder
+WIDE_DEPTH_CEILING = {(4, 8, 1): 68, (4, 16, 1): 120, (4, 18, 1): 133,
+                      (5, 18, 1): 141, (5, 20, 1): 154, (5, 22, 1): 167,
+                      (5, 24, 1): 180, (2, 5, 2): 99, (2, 7, 3): 212}
+
+
+@pytest.mark.parametrize("dims", list(WIDE_DEPTH_CEILING),
+                         ids=lambda d: "x".join(map(str, d)))
+def test_grid_wide_nowhere_deeper(dims):
+    c, _ = synth_grid(*dims)
+    assert asap_layering(c).depth <= WIDE_DEPTH_CEILING[dims]
+
+
+# least depth over every even split of the columns into g groups, found by
+# building each g; the rule builds one and must land within 10 % of it
+WIDE_DEPTH_OPTIMUM = {(2, 16, 1): 86, (2, 32, 1): 154, (2, 64, 1): 278,
+                      (2, 128, 1): 509, (4, 32, 2): 596, (4, 64, 2): 900,
+                      (2, 30, 1): 145, (4, 128, 2): 1421, (2, 256, 1): 949,
+                      (8, 256, 4): 5584, (8, 128, 8): 5784}
+
+
+@pytest.mark.parametrize("dims", list(WIDE_DEPTH_OPTIMUM),
+                         ids=lambda d: "x".join(map(str, d)))
+def test_grid_wide_depth_near_optimum(dims):
+    c, _ = synth_grid(*dims)
+    assert asap_layering(c).depth <= 1.1 * WIDE_DEPTH_OPTIMUM[dims]
 
 
 def test_grid_builds_each_template_once_per_call(monkeypatch):
@@ -654,7 +725,7 @@ DUMPS_SHA256 = {
         "6b12d6a2c792318e249aad6d5847b04a639663f9f1e7c01a76e18f6552dca052"),
     "synth_grid(2,32,1)": (
         lambda: synth_grid(2, 32, 1)[0],
-        "0cf444d9420e7463908c35b45f0e32006ec731c2a1c9f310f47d756ac323a5e5"),
+        "d9fdd4887289f48a8bf31dea2508e165f542993d3a24cb9cfa33410988ec4781"),
     "synth_grid(16,16,8)": (
         lambda: synth_grid(16, 16, 8)[0],
         "ff7f1dc9262aae84fbfa49ad9888c5ec6f45aa5db9ce0a9aa310111cf468f66a"),
@@ -666,7 +737,7 @@ DUMPS_SHA256 = {
         "e2548d6f8d02f3a2c2d40f38838fd970eeaef8d93ad66370d77dbf6439ae54c9"),
     "synth_grid(4,64,2)": (
         lambda: synth_grid(4, 64, 2)[0],
-        "66c1662d9b3e280dfabf22a0753413ba90b71bdc89f6529fd7dffc6536f9152a"),
+        "d40253da9e67c2b713197dda800a210d350e22dac323797eeb5c99080c46448f"),
     "dicke_unitary_path(64,4)": (
         lambda: dicke_unitary_path(64, 4),
         "1a111bf70340f5d8162d1b529d6c89df62000ccf3dcf094021c4608480788e4d"),
@@ -693,7 +764,7 @@ PLAN_REPORT_SHA256 = {
     (16, 16, 2):
         "d8d160899d071f1dcec107732fff1ddb3fa595ffa6977fb7c4a93b3d282474ff",
     (4, 64, 2):
-        "53a5c476b923936bde50b0b4fa8547bea9c17b9fb28dfefefcdda80ab9789da4",
+        "3f9ac0c1fe4cc90f84169418c3172e98267c8a19888fac09cec9e92e80855dd0",
     (3, 6, 2):
         "f145382ad2d7e0e604d1ee5c276112850a08e62faa82c1c3bd1edbe95b3adb8c",
 }
