@@ -246,7 +246,14 @@ def cmd_lightcone(args) -> int:
     if dims is not None and dims[0] * dims[1] != n:
         raise _UsageError(f"topology has {dims[0] * dims[1]} vertices, "
                           f"circuit has {n} qubits")
-    report = audit_lower_bound(circuit, _connectivity(topology, dims, n))
+    graph = _connectivity(topology, dims, n)
+    # the light-cone floor holds only for CNOTs on the graph's edges
+    off_edge = len(validate_connectivity(circuit, graph))
+    if off_edge:
+        print(f"audit FAIL: {off_edge} CNOT(s) off the topology's edges",
+              file=sys.stderr)
+        return 3
+    report = audit_lower_bound(circuit, graph)
     print(report.text())
     return 0 if report.passed else 3
 

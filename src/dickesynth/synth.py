@@ -51,12 +51,9 @@ class PlanNode:
     """One divide step of a synthesis recursion. ``variant`` names the
     divide that ran: "ancilla" (``divide_unitary_ancilla`` on the node's
     idle qubits; every all-to-all node) or "path" (the nearest-neighbor
-    conveyor; every grid node). ``depth``, ``size`` and ``cx`` are that
-    divide's ASAP depth, gate count and CNOT count; a grid node's cover the
-    divide and the slab route that follows it. An all-to-all node's are
-    the standalone divide's, its unary <-> one-hot conversions included,
-    though the placed circuit keeps the count one-hot between levels and
-    drops them."""
+    conveyor; every grid node). ``depth``, ``size`` and ``cx`` are the ASAP
+    depth, gate count and CNOT count of the template placed at the node; a
+    grid node's cover the divide and the slab route that follows it."""
 
     layer: int
     n_node: int
@@ -95,8 +92,10 @@ class SynthesisPlan:
         return "\n".join(lines) + "\n"
 
 
-def _cx_count(gates) -> int:
-    return sum(1 for g in gates if g.kind == "cx")
+def _stats(t: Circuit) -> tuple:
+    """A node template's (ASAP depth, size, CNOT count) for its PlanNode."""
+    return (asap_layering(t).depth, t.size,
+            sum(1 for g in t.gates if g.kind == "cx"))
 
 
 # --- ancilla-accelerated divide --------------------------------------------
@@ -145,9 +144,9 @@ def _fold_into(c: Circuit, regs: list, target: list) -> None:
 
 
 def _pack_rows(k: int, anc: list, s1: list, s2: list) -> list:
-    """Slot allocation of divide_unitary_ancilla's step (b): batches of
-    rows (l, its l-1 middle slots, the S1 and S2 its erase Toffolis read)
-    in increasing l. The last row of a batch reads s1 and s2 themselves.
+    """Slot allocation of divide_unitary_ancilla: batches of rows (l, its
+    l-1 middle slots, the S1 and S2 its erase Toffolis read) in increasing
+    l. The last row of a batch reads s1 and s2 themselves.
     Each batch takes every row's middle slots, then the copies, from a
     cursor that wraps around the pool."""
     pool = itertools.cycle(anc)
@@ -168,20 +167,18 @@ def _pack_rows(k: int, anc: list, s1: list, s2: list) -> list:
 
 
 def divide_unitary_ancilla(spec: DivideSpec, ancilla,
-                           num_qubits: int | None = None) -> Circuit:
-    """Divide unitary D^{n,m}_k using N >= 2k clean ancilla, restored on
-    exit; fewer raise ValueError.
+                           num_qubits: int) -> Circuit:
+    """One-hot divide unitary D^{n,m}_k using N >= 2k clean ancilla,
+    restored on exit; fewer raise ValueError.
 
-    The count goes to one-hot, and each count l loads the joint
-    (i, l-i) straight into one-hot S1 and S2:
-
-      (a) S2: unary l -> one-hot l; qubit s2[l-1] is the flag of count l
-      (b) per count l, in batches of parallel rows: a Givens tree spreads
-          the one on the block [s2[l-1], l-1 middle slots, s1[l-1]] to
-          sum_i w_i(l) |e_i>; middle slot a is XOR-folded into s1[a-1]
-          and s2[l-a-1], then erased by a Toffoli on those two qubits
-          (or copies of them), since the pair (a, l-a) names the row
-      (c) one-hot -> unary on S1 and S2
+    The count l <= k arrives one-hot on S2: flag qubit s2[l-1] (no flag
+    for l = 0). The divide leaves sum_i w_i(l) |e_i>_S1 |e_{l-i}>_S2,
+    with w_i(l) = hyper_weights(n, m, k, l)[i] and |e_0> all-zero. Per
+    count l, in batches of parallel rows, a Givens tree spreads the one on
+    the block [s2[l-1], l-1 middle slots, s1[l-1]] to sum_i w_i(l) |e_i>;
+    middle slot a is XOR-folded into s1[a-1] and s2[l-a-1], then erased by
+    a Toffoli on those two qubits (or copies of them), since the pair
+    (a, l-a) names the row.
 
     Rows run in increasing l, so a row's block is all-zero when its tree
     runs unless that row holds the count; Givens rotations keep Hamming
@@ -198,30 +195,18 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla,
     s1 and s2 below its widest count and its own slots. So ASAP layering
     overlaps the two wherever their slots are disjoint, with no extra
     gates.
-
-    synth_alltoall keeps the count one-hot between levels and places
-    this divide without steps (a) and (c), cut off by length. So the gate
-    list is exactly u_uo(S2), the one-hot core, inverse(u_uo(S1)) and
-    inverse(u_uo(S2)), in that order.
     """
     anc = list(ancilla)
     k = spec.k
-    data = set(spec.left) | set(spec.right)
-    if data & set(anc):
+    if (set(spec.left) | set(spec.right)) & set(anc):
         raise ValueError("ancilla overlaps data registers")
     if len(set(anc)) != len(anc):
         raise ValueError("duplicate ancilla index")
     if len(anc) < 2 * k:
         raise ValueError(f"need {2 * k} ancilla, got {len(anc)}")
-    nq = num_qubits if num_qubits is not None else max(data | set(anc)) + 1
     s1 = list(spec.left)
     s2 = list(spec.right)
-    c = Circuit(nq)
-
-    # (a) unary -> one-hot on S2
-    c.extend(u_uo(s2).gates)
-
-    # (b) one batch of parallel rows at a time
+    c = Circuit(num_qubits)
     for rows in _pack_rows(k, anc, s1, s2):
         mids = [mid for _, mid, _, _ in rows]
         for ell, mid, _, _ in rows:
@@ -241,10 +226,6 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla,
             for a in range(1, ell):
                 build_ccx(c, c1[a - 1], c2[ell - a - 1], mid[a - 1])
         c.extend(reversed(fan))
-
-    # (c) both shares back to unary
-    c.extend(inverse(u_uo(s1)).gates)
-    c.extend(inverse(u_uo(s2)).gates)
     return c
 
 
@@ -263,22 +244,18 @@ def synth_alltoall(n: int, k: int) -> tuple:
     (nn >= 4k) and takes the ladder otherwise. Depth is
     O(log k log(n/k) + k).
 
-    The count stays one-hot between levels. A child's S2 is its parent's
-    S2 (low child) or S1 (high child), so each divide's step (a) would
-    undo half of its parent's step (c) on the same qubits. So u_uo runs
-    once on qubits 0..k-1 before the root divide, each divide is placed
-    without steps (a) and (c), and each tail gets inverse(u_uo) on its
-    count register just before its ladder. A root that takes the ladder
-    gets no conversion. The plan's node statistics are the standalone
-    divide's, steps (a) and (c) included."""
+    The count stays one-hot between levels: u_uo runs once on qubits
+    0..k-1 before a root divide, each divide is the one-hot
+    divide_unitary_ancilla, and each tail gets inverse(u_uo) on its count
+    register just before its ladder. A root that takes the ladder gets no
+    conversion."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
     plan = SynthesisPlan(g, n, k)
     c = Circuit(n)
     to_onehot = u_uo(range(k))
-    conv = to_onehot.size   # gates of one unary <-> one-hot conversion
-    # block size -> ("ancilla", placed core, divide depth, size, CNOTs)
+    # block size -> ("ancilla", placed divide, its depth, size, CNOTs)
     # or ("ladder", placed ladder)
     chosen: dict = {}
 
@@ -291,11 +268,7 @@ def synth_alltoall(n: int, k: int) -> tuple:
                                   right=tuple(range(k)))
                 idle = tuple(range(k, half)) + tuple(range(half + k, nn))
                 template = divide_unitary_ancilla(spec, idle, num_qubits=nn)
-                # drop step (a) and both runs of step (c)
-                core = template.gates[conv:template.size - 2 * conv]
-                chosen[nn] = ("ancilla", Circuit(nn, core),
-                              asap_layering(template).depth, template.size,
-                              _cx_count(template.gates))
+                chosen[nn] = ("ancilla", template, *_stats(template))
             else:
                 ladder = dicke_unitary_path(nn, k)
                 if nn < n:            # the count arrives one-hot
@@ -469,8 +442,7 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
                 n=shape[0], m=shape[1], k=k, left=tuple(range(k, 2 * k)),
                 right=tuple(range(k)))).gates))
             _route_block(t, span - w, w, k, n1)
-            divides[shape] = (t, asap_layering(t).depth, t.size,
-                              _cx_count(t.gates))
+            divides[shape] = (t, *_stats(t))
         template, *stats = divides[shape]
         # local grid_index order is the serpentine: rows stay put
         snake = _slab_serpentine(c0, span, n1)

@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from dickesynth.circuit import (ConnectivityGraph, asap_layering,
-                                validate_connectivity)
+from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
+                                inverse, validate_connectivity)
 from dickesynth.encoding import u_uo
 from dickesynth.lightcone import audit_lower_bound
 from dickesynth.synth import (divide_unitary_ancilla, prepare_symmetric,
@@ -87,6 +87,16 @@ def _divide_entrywise_error(c, n, m, k):
     return err
 
 
+def _unary_divide_ancilla(spec, ancilla, nq):
+    """The one-hot ancilla divide between unary <-> one-hot conversions:
+    u_uo(S2), the divide, then inverse(u_uo) on S1 and on S2."""
+    return Circuit(nq, [
+        *u_uo(spec.right).gates,
+        *divide_unitary_ancilla(spec, ancilla, num_qubits=nq).gates,
+        *inverse(u_uo(spec.left)).gates,
+        *inverse(u_uo(spec.right)).gates])
+
+
 def test_criterion_02_divide_unitary_coefficients():
     err = 0.0
     for k in range(1, 5):
@@ -97,8 +107,7 @@ def test_criterion_02_divide_unitary_coefficients():
                 err = max(err, _divide_entrywise_error(
                     divide_unitary_path(spec), n, m, k))
                 nq = 2 * k + (2 * k + 2)   # accelerated branch: N >= 2k
-                c = divide_unitary_ancilla(spec, range(2 * k, nq),
-                                           num_qubits=nq)
+                c = _unary_divide_ancilla(spec, range(2 * k, nq), nq)
                 err = max(err, _divide_entrywise_error(c, n, m, k))
     report(2, f"divide coefficients, max err={err:.3e}", err <= 1e-10)
 

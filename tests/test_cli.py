@@ -7,6 +7,7 @@ from dickesynth import cli as cli_module
 from dickesynth import synth as synth_module
 from dickesynth.circuit import ConnectivityGraph, loads
 from dickesynth.cli import main
+from dickesynth.lightcone import audit_lower_bound
 from dickesynth.verify import dicke_reference, fidelity, simulate
 
 
@@ -283,6 +284,36 @@ def test_lightcone_pass_on_synth_output(tmp_path, capsys):
     assert run(["lightcone", "--circuit", str(out), "--topology", "grid",
                 "2x4"]) == 0
     assert "audit PASS" in capsys.readouterr().out
+
+
+def test_lightcone_text_is_the_audit_on_own_topology(tmp_path, capsys):
+    out = synth_file(tmp_path, ["grid", "4x4"], 16, 2)
+    capsys.readouterr()
+    assert run(["lightcone", "--circuit", str(out), "--topology", "grid",
+                "4x4"]) == 0
+    report = audit_lower_bound(loads(out.read_text()),
+                               ConnectivityGraph.grid(4, 4))
+    assert capsys.readouterr() == (report.text() + "\n", "")
+
+
+def test_lightcone_fails_on_grid_of_other_shape(tmp_path, capsys):
+    # a 4x4-grid circuit read on the 2x8 grid: the light-cone floor
+    # assumes every CNOT is on an edge, so off-edge CNOTs must fail
+    out = synth_file(tmp_path, ["grid", "4x4"], 16, 2)
+    capsys.readouterr()
+    assert run(["lightcone", "--circuit", str(out), "--topology", "grid",
+                "2x8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "audit FAIL: 6 CNOT(s) off the topology's edges\n"
+
+
+def test_lightcone_fails_on_off_edge_cnot_of_path(tmp_path, capsys):
+    f = tmp_path / "far.qc"
+    f.write_text("QUBITS 16\nCX 0 15\n")
+    assert run(["lightcone", "--circuit", str(f), "--topology",
+                "path"]) == 3
+    assert "1 CNOT(s) off the topology's edges" in capsys.readouterr().err
 
 
 def test_lightcone_fails_on_trivial_circuit(tmp_path, capsys):

@@ -28,8 +28,18 @@ def aa_spec(n, m, k):
                       right=list(range(k, 2 * k)))
 
 
+def unary_divide(spec, ancilla, num_qubits):
+    """The one-hot divide wrapped to take and leave the count in unary:
+    u_uo(S2), the divide, then inverse(u_uo) on S1 and on S2."""
+    return Circuit(num_qubits, [
+        *u_uo(spec.right).gates,
+        *divide_unitary_ancilla(spec, ancilla, num_qubits=num_qubits).gates,
+        *inverse(u_uo(spec.left)).gates,
+        *inverse(u_uo(spec.right)).gates])
+
+
 def test_divide_ancilla_zero_weight_identity():
-    c = divide_unitary_ancilla(aa_spec(8, 4, 2), range(4, 12), num_qubits=12)
+    c = unary_divide(aa_spec(8, 4, 2), range(4, 12), num_qubits=12)
     out = simulate(c, 0)
     assert abs(abs(out[0]) - 1.0) < 1e-10
 
@@ -37,8 +47,8 @@ def test_divide_ancilla_zero_weight_identity():
 def test_divide_ancilla_eight_four_two():
     # amplitudes sqrt(C(4,i) C(4,2-i) / C(8,2)) = sqrt(6/28), sqrt(16/28), sqrt(6/28)
     k, N = 2, 8
-    c = divide_unitary_ancilla(aa_spec(8, 4, k), range(2 * k, 2 * k + N),
-                               num_qubits=2 * k + N)
+    c = unary_divide(aa_spec(8, 4, k), range(2 * k, 2 * k + N),
+                     num_qubits=2 * k + N)
     out = simulate(c, unary_index(2, k) << k)
     want = [math.sqrt(6 / 28), math.sqrt(16 / 28), math.sqrt(6 / 28)]
     for i, w in enumerate(want):
@@ -52,8 +62,7 @@ def test_divide_ancilla_eight_four_two():
 def test_divide_ancilla_matches_path_variant(n, m, k):
     N = 3 * k + 2
     nq = 2 * k + N
-    c_anc = divide_unitary_ancilla(aa_spec(n, m, k), range(2 * k, nq),
-                                   num_qubits=nq)
+    c_anc = unary_divide(aa_spec(n, m, k), range(2 * k, nq), num_qubits=nq)
     c_path = divide_unitary_path(aa_spec(n, m, k))
     for ell in range(k + 1):
         idx = unary_index(ell, k) << k
@@ -119,7 +128,7 @@ def test_divide_ancilla_one_hot_load_rows_per_batch(k, p):
     spec = aa_spec(4 * k + 1, 2 * k, k)
     nq = 2 * k + _rows_budget(k, p)
     assert all(len(b) >= p for b in _batches(spec, range(2 * k, nq))[:-1])
-    c = divide_unitary_ancilla(spec, range(2 * k, nq), num_qubits=nq)
+    c = unary_divide(spec, range(2 * k, nq), num_qubits=nq)
     assert _ancilla_divide_error(c, spec) < 1e-10
 
 
@@ -134,7 +143,7 @@ def test_divide_ancilla_fault_in_one_row_is_caught():
     spec = aa_spec(4 * k + 1, 2 * k, k)
     anc = range(2 * k, 4 * k)
     assert _batches(spec, anc) == [[1, 2, 3], [4], [5]]
-    c = divide_unitary_ancilla(spec, anc, num_qubits=4 * k)
+    c = unary_divide(spec, anc, num_qubits=4 * k)
     assert _ancilla_divide_error(c, spec) < 1e-10
     rows = [row for rows in _packing(spec, anc) for row in rows]
     assert anc[0] in rows[-1][1]
@@ -167,24 +176,10 @@ def _top_spec(nn, k):
 
 def _top_divide(nn, k):
     """The ancilla divide synth_alltoall places at the top of an nn-qubit
-    block, on the block's idle qubits."""
+    block, on the block's idle qubits, wrapped to take and leave the count
+    in unary."""
     spec, idle = _top_spec(nn, k)
-    return divide_unitary_ancilla(spec, idle, num_qubits=nn)
-
-
-@pytest.mark.parametrize("nn,k", [(8, 1), (16, 2), (64, 4), (128, 16)])
-def test_divide_ancilla_opens_and_closes_with_conversions(nn, k):
-    # synth_alltoall places the divide without its first and last
-    # conversion runs, cut by length: the gates are exactly u_uo(S2), the
-    # one-hot core, inverse(u_uo(S1)) and inverse(u_uo(S2))
-    spec, _ = _top_spec(nn, k)
-    gates = _top_divide(nn, k).gates
-    conv = len(u_uo(range(k)).gates)
-    assert len(u_uo(spec.left).gates) == len(u_uo(spec.right).gates) == conv
-    assert gates[:conv] == u_uo(spec.right).gates
-    assert gates[len(gates) - 2 * conv:] == (inverse(u_uo(spec.left)).gates +
-                                             inverse(u_uo(spec.right)).gates)
-    assert len(gates) > 3 * conv
+    return unary_divide(spec, idle, num_qubits=nn)
 
 
 def test_divide_ancilla_sixty_qubits_mixed_widths():
@@ -296,26 +291,29 @@ def _cx(c):
 
 @pytest.mark.parametrize("make", [lambda: synth_alltoall(256, 8),
                                   lambda: synth_alltoall(64, 2),
+                                  lambda: synth_alltoall(1024, 8),
                                   lambda: synth_grid(8, 16, 4),
                                   lambda: synth_grid(2, 32, 1)],
                          ids=["alltoall-256-8", "alltoall-64-2",
-                              "grid-8x16-4", "grid-2x32-1"])
+                              "alltoall-1024-8", "grid-8x16-4",
+                              "grid-2x32-1"])
 def test_plan_nodes_record_cx(make):
     # the circuit is its divide nodes and its tail ladders laid end to end,
-    # so their CNOT counts must add up to the circuit's. On the complete
-    # graph the count stays one-hot between levels: each node records its
-    # standalone divide's three conversions, and the circuit holds one at
-    # the root and one per tail, 2 per node - 2 fewer in all
+    # plus, on the complete graph, one unary <-> one-hot conversion at the
+    # root and one before each tail; so their CNOT counts and sizes must
+    # add up to the circuit's
     c, plan = make()
-    tails = sum(_cx(dicke_unitary_path(len(u), min(plan.k, len(u))))
-                for u in plan.tail_units)
     nodes = plan.recursion_tree
-    dropped = 0
-    if plan.topology.topology_tag == "complete":
-        dropped = (2 * len(nodes) - 2) * _cx(u_uo(range(plan.k)))
-        assert dropped > 0
     assert nodes
-    assert sum(node.cx for node in nodes) + tails - dropped == _cx(c)
+    ladders = [dicke_unitary_path(len(u), min(plan.k, len(u)))
+               for u in plan.tail_units]
+    convs = []
+    if plan.topology.topology_tag == "complete":
+        convs = [u_uo(range(plan.k))] * (1 + len(plan.tail_units))
+    assert (sum(node.cx for node in nodes) + sum(map(_cx, ladders + convs))
+            == _cx(c))
+    assert (sum(node.size for node in nodes)
+            + sum(t.size for t in ladders + convs) == c.size)
     report = plan.report()
     for node in plan.recursion_tree:
         assert 0 < node.cx < node.size
@@ -350,18 +348,14 @@ def _alltoall_every_ladder(n, k):
 
     c = Circuit(n)
     # the count stays one-hot between levels: one u_uo before a root
-    # divide, no conversion runs in a placed divide, and inverse(u_uo)
-    # before each tail ladder under one
-    conv = len(u_uo(range(k)).gates)
+    # divide, and inverse(u_uo) before each tail ladder under one
     if choose(n)[3]:
         c.extend(u_uo(range(k)).gates)
 
     def rec(base, nn):
         _, template, _, divides = choose(nn)
         gates = template.gates
-        if divides:
-            gates = gates[conv:len(gates) - 2 * conv]
-        elif nn < n:
+        if not divides and nn < n:
             gates = inverse(u_uo(range(k))).gates + gates
         c.extend(remap_qubits(Circuit(nn, gates), range(base, base + nn),
                               n).gates)
@@ -756,6 +750,28 @@ def test_dumps_byte_identical(case):
     assert hashlib.sha256(dumps(build()).encode()).hexdigest() == digest
 
 
+# sha256 of dumps() of the one-hot divide wrapped in unary conversions,
+# taken when divide_unitary_ancilla itself still emitted them: the wrap is
+# that circuit gate for gate
+UNARY_DIVIDE_SHA256 = {
+    "aa_spec(8,4,2)": (
+        lambda: unary_divide(aa_spec(8, 4, 2), range(4, 12), num_qubits=12),
+        "14a7c1c8bb69fe6d8c43c3e5b04eefe65e415c0a992b4d4844682fc42f560904"),
+    "_top_spec(60,10)": (
+        lambda: _top_divide(60, 10),
+        "af90b117ab23b810bb9393ee109cfa75e424a76007601d0ab4a673a441fb0452"),
+    "_top_spec(1024,8)": (
+        lambda: _top_divide(1024, 8),
+        "c63a166ce84047e3e112c13009cbb95c784d542509b1c8a2c369286f518ab877"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNARY_DIVIDE_SHA256))
+def test_unary_divide_byte_identical(case):
+    build, digest = UNARY_DIVIDE_SHA256[case]
+    assert hashlib.sha256(dumps(build()).encode()).hexdigest() == digest
+
+
 # sha256 of plan.report(): a grid node's depth, size and CNOT count are
 # those of its divide-and-route template, and the .plan file shows them
 PLAN_REPORT_SHA256 = {
@@ -776,3 +792,22 @@ def test_grid_plan_report_pinned(dims):
     report = synth_grid(*dims)[1].report()
     digest = hashlib.sha256(report.encode()).hexdigest()
     assert digest == PLAN_REPORT_SHA256[dims]
+
+
+# sha256 of plan.report() on the complete graph: a node's depth, size and
+# CNOT count are those of the one-hot divide placed there (the root of
+# (1024,8) reads depth=46 size=818 cx=422)
+ALLTOALL_PLAN_REPORT_SHA256 = {
+    (64, 2):
+        "5fa40b85215d6f14495b153c48645c36b7d722347bf1d40e8a7a3089baedd1aa",
+    (1024, 8):
+        "848577a3da4ae9ea62cdfc1627f3fdae31b80321da0a1634b49f2d5ea3544c5e",
+}
+
+
+@pytest.mark.parametrize("shape", list(ALLTOALL_PLAN_REPORT_SHA256),
+                         ids=lambda s: "-".join(map(str, s)))
+def test_alltoall_plan_report_pinned(shape):
+    report = synth_alltoall(*shape)[1].report()
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == ALLTOALL_PLAN_REPORT_SHA256[shape]
