@@ -94,11 +94,10 @@ def gate_matrix(g: Gate) -> np.ndarray:
     """2x2 matrix of a single-qubit gate."""
     theta, phi, lam, gamma = g.params
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    m = np.array(
-        [[c, -cmath.exp(1j * lam) * s],
-         [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c]],
-        dtype=complex,
-    )
+    # two phases, not e^{i(phi+lam)}: phi + lam can overflow to inf
+    e_phi, e_lam = cmath.exp(1j * phi), cmath.exp(1j * lam)
+    m = np.array([[c, -e_lam * s], [e_phi * s, e_phi * e_lam * c]],
+                 dtype=complex)
     return cmath.exp(1j * gamma) * m
 
 
@@ -155,49 +154,58 @@ class Circuit:
 
 @dataclass(frozen=True)
 class ConnectivityGraph:
-    """Undirected graph over qubit indices restricting 2-qubit gate placement."""
+    """Qubit connectivity restricting 2-qubit gate placement, stored as its
+    shape: the complete graph on ``num_vertices`` vertices (``rows`` is
+    None), or a grid with ``rows`` = n1 rows under grid_index numbering (a
+    path is the one-row grid). Edges follow from the shape in has_edge."""
 
     num_vertices: int
-    edges: frozenset
-    topology_tag: str = "custom"
+    rows: int | None = None
 
     @staticmethod
     def complete(n: int) -> "ConnectivityGraph":
-        # every pair is an edge; kept implicit (has_edge special-cases the
-        # tag) so large instances stay O(1) in memory
-        return ConnectivityGraph(n, frozenset(), "complete")
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        return ConnectivityGraph(n)
 
     @staticmethod
     def grid(n1: int, n2: int) -> "ConnectivityGraph":
-        """n1 x n2 grid (n1 rows, n2 columns). Vertices are numbered
-        boustrophedon column-major: column 0 top-to-bottom, column 1
-        bottom-to-top, etc., so consecutive vertex numbers are always
-        grid-adjacent (the numbering is a Hamiltonian path)."""
-        edges = set()
-        for r in range(n1):
-            for c in range(n2):
-                v = grid_index(r, c, n1)
-                if c + 1 < n2:
-                    edges.add(frozenset((v, grid_index(r, c + 1, n1))))
-                if r + 1 < n1:
-                    edges.add(frozenset((v, grid_index(r + 1, c, n1))))
-        tag = "path" if n1 == 1 else f"grid({n1},{n2})"
-        return ConnectivityGraph(n1 * n2, frozenset(edges), tag)
+        """n1 x n2 grid (n1 rows, n2 columns), numbered by grid_index."""
+        if n1 < 1 or n2 < 1:
+            raise ValueError(f"grid dimensions must be positive, got "
+                             f"{n1}x{n2}")
+        return ConnectivityGraph(n1 * n2, n1)
 
     @staticmethod
     def path(n: int) -> "ConnectivityGraph":
         return ConnectivityGraph.grid(1, n)
 
+    @property
+    def topology_tag(self) -> str:
+        if self.rows is None:
+            return "complete"
+        if self.rows == 1:
+            return "path"
+        return f"grid({self.rows},{self.num_vertices // self.rows})"
+
     def has_edge(self, a: int, b: int) -> bool:
-        if self.topology_tag == "complete":
-            return (a != b and 0 <= a < self.num_vertices
-                    and 0 <= b < self.num_vertices)
-        return frozenset((a, b)) in self.edges
+        if a > b:
+            a, b = b, a
+        if a < 0 or a == b or b >= self.num_vertices:
+            return False
+        n1 = self.rows
+        # consecutive numbers are adjacent (the numbering is a Hamiltonian
+        # path); otherwise only a cell in column c and its same-row
+        # neighbour in column c + 1, whose numbers sum to 2 (c + 1) n1 - 1
+        return (n1 is None or b == a + 1
+                or a + b == 2 * (a // n1 + 1) * n1 - 1)
 
 
 def grid_index(row: int, col: int, n1: int) -> int:
-    """Vertex number of grid cell (row, col) under boustrophedon
-    column-major numbering on a grid with n1 rows."""
+    """Vertex number of grid cell (row, col) on a grid with n1 rows:
+    boustrophedon column-major, so column 0 runs top-to-bottom, column 1
+    bottom-to-top, etc., and consecutive numbers are always grid-adjacent
+    (the numbering is a Hamiltonian path)."""
     if col % 2 == 0:
         return col * n1 + row
     return col * n1 + (n1 - 1 - row)

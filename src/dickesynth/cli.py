@@ -241,8 +241,6 @@ def cmd_lightcone(args) -> int:
         raise _UsageError(f"cannot read circuit: {e}") from e
     topology, dims = _parse_topology(args.topology)
     n = circuit.num_qubits
-    # a grid's size is checked before it is built: its edge set grows with
-    # N1*N2, however few qubits the circuit has
     if dims is not None and dims[0] * dims[1] != n:
         raise _UsageError(f"topology has {dims[0] * dims[1]} vertices, "
                           f"circuit has {n} qubits")

@@ -6,17 +6,19 @@ time. Walking the graph backwards from one output qubit yields its light
 cone: the set of earlier qubits that can causally influence it. Two
 qubits whose cones never meet are necessarily unentangled at the output,
 so any circuit claiming an entangled target state admits a depth floor
-from how fast cones can grow under the connectivity graph.
+from how fast cones can grow under the connectivity graph. The audit reads
+its extremal qubits, growth caps and floor from the graph's shape: on a
+grid they are the opposite corners, the counts of cells within s steps of
+a corner, and half the corner-to-corner distance.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .circuit import Circuit, ConnectivityGraph, asap_layering
+from .circuit import Circuit, ConnectivityGraph, asap_layering, grid_index
 
 __all__ = [
     "LightConeGraph",
@@ -128,31 +130,6 @@ def reachable(g: LightConeGraph, origin: int) -> ReachableSets:
                          first_cone=frozenset(cone))
 
 
-def _bfs_levels(topology: ConnectivityGraph, start: int) -> list:
-    """Graph distance from ``start`` to every vertex (-1: unreachable)."""
-    adj = [[] for _ in range(topology.num_vertices)]
-    for e in topology.edges:
-        a, b = tuple(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    dq = deque([start])
-    while dq:
-        v = dq.popleft()
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                dq.append(w)
-    return dist
-
-
-def _ball_sizes(dist: list) -> list:
-    """Entry s: how many vertices lie within s steps of the BFS origin."""
-    counts = Counter(dist)
-    return list(accumulate(counts[s] for s in range(max(dist) + 1)))
-
-
 @dataclass
 class AuditReport:
     """Light-cone audit of a circuit against a claimed entangled target."""
@@ -190,55 +167,58 @@ class AuditReport:
         return "\n".join(lines)
 
 
+def _shape_bounds(topology: ConnectivityGraph) -> tuple:
+    """(origins, cap, floor) of the audit, read from the graph's shape.
+
+    On a complete graph the extremal qubits are 1 and 0, a cone at most
+    doubles per layer and the floor is ceil(log2 n) - 1. On an n1 x n2
+    grid (a path when n1 = 1) they are the opposite corners, a cone s
+    layers back holds at most the cells within s steps of its corner (the
+    same count from either corner), and the floor is ceil((n1 + n2 - 2) /
+    2): half the corner-to-corner distance, since a cone's radius grows by
+    at most one per layer. cap[s] bounds the cone s layers back from the
+    output; past its last entry the cap stays at that entry.
+    """
+    n, n1 = topology.num_vertices, topology.rows
+    if n1 is None:
+        origins = (1, 0) if n > 1 else (0, 0)
+        cap = [min(2 << s, n) for s in range(max(n.bit_length(), 1))]
+        floor = max(1, math.ceil(math.log2(n)) - 1) if n > 1 else 0
+        return origins, cap, floor
+    n2 = n // n1
+    # cells with r + c = t, summed over t <= s
+    cap = list(accumulate(min(t, n1 - 1, n2 - 1, n1 + n2 - 2 - t) + 1
+                          for t in range(n1 + n2 - 1)))
+    return ((grid_index(n1 - 1, n2 - 1, n1), 0), cap,
+            math.ceil((n1 + n2 - 2) / 2))
+
+
 def audit_lower_bound(c: Circuit, topology: ConnectivityGraph) -> AuditReport:
     """Audit a circuit claiming an entangled target (e.g. a Dicke state).
 
     Checks that (a) the light cones of two extremal qubits intersect,
     (b) per-column reachable-set sizes respect the connectivity growth
-    caps (2^{d-i+2} on a complete graph; graph-distance ball sizes
-    otherwise), and (c) the normalized depth meets the implied floor
-    (ceil(log2 n) - 1 on a complete graph, half the graph diameter
-    otherwise, since a cone's radius grows by at most one per layer).
-    Raises ValueError when the topology's vertex count is not the
-    circuit's qubit count.
+    caps, and (c) the normalized depth meets the implied floor; see
+    _shape_bounds for the three on each topology. Raises ValueError when
+    the topology's vertex count is not the circuit's qubit count.
     """
     if topology.num_vertices != c.num_qubits:
         raise ValueError(f"topology has {topology.num_vertices} vertices, "
                          f"circuit has {c.num_qubits} qubits")
     g = build_lightcone(c)
     d = g.depth
-    n = g.num_qubits
-    # caps[origin][s]: most vertices a cone can hold s layers back from the
-    # output; past its last entry the cap stays at that entry
-    if topology.topology_tag == "complete":
-        # every vertex is one step from every other, so the double BFS
-        # below would pick qubits 1 and 0 and a diameter of 1
-        origins = (1, 0) if n > 1 else (0, 0)
-        cap = [min(2 << s, n) for s in range(max(n.bit_length(), 1))]
-        caps = {origin: cap for origin in origins}
-        floor = max(1, math.ceil(math.log2(n)) - 1) if n > 1 else 0
-    else:
-        # extremal pair by double BFS (exact on grids and paths)
-        dist0 = _bfs_levels(topology, 0)
-        far = max(range(n), key=lambda v: dist0[v])
-        dist_far = _bfs_levels(topology, far)
-        other = max(range(n), key=lambda v: dist_far[v])
-        origins = (far, other)
-        caps = {far: _ball_sizes(dist_far),
-                other: _ball_sizes(_bfs_levels(topology, other))}
-        floor = math.ceil(dist_far[other] / 2)
-
+    origins, cap, floor = _shape_bounds(topology)
     reach = {origin: reachable(g, origin) for origin in origins}
     # sizes[i] sits d - i layers back from column d+1
-    growth_ok = all(size <= caps[o][min(d - i, len(caps[o]) - 1)]
-                    for o, r in reach.items()
+    growth_ok = all(size <= cap[min(d - i, len(cap) - 1)]
+                    for r in reach.values()
                     for i, size in enumerate(r.sizes))
     cones_intersect = bool(reach[origins[0]].first_cone
                            & reach[origins[1]].first_cone)
     depth_ok = g.depth >= floor
     return AuditReport(
         topology_tag=topology.topology_tag,
-        num_qubits=n,
+        num_qubits=g.num_qubits,
         raw_depth=g.raw_depth,
         normalized_depth=d,
         origins=origins,

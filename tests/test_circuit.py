@@ -5,8 +5,8 @@ import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
                                 asap_layering, compose, cx_gate, dumps,
-                                inverse, loads, remap_qubits, u_gate,
-                                validate_connectivity)
+                                gate_matrix, grid_index, inverse, loads,
+                                remap_qubits, u_gate, validate_connectivity)
 from dickesynth.verify import fidelity, simulate
 
 
@@ -106,12 +106,78 @@ def test_grid_graph_structure():
     g = ConnectivityGraph.grid(2, 3)
     assert g.num_vertices == 6
     # each vertex degree 2 or 3 on a 2x3 grid; 7 edges total
-    assert len(g.edges) == 7
+    assert sum(g.has_edge(a, b)
+               for a in range(6) for b in range(a + 1, 6)) == 7
     assert ConnectivityGraph.path(5).topology_tag == "path"
     kn = ConnectivityGraph.complete(5)
     assert all(kn.has_edge(i, j) for i in range(5) for j in range(5) if i != j)
     assert not kn.has_edge(2, 2)
     assert not kn.has_edge(0, 5)
+
+
+def _grid_edges(n1, n2):
+    """Oracle: the explicit edge set of an n1 x n2 grid, one edge per pair
+    of row or column neighbours, numbered by grid_index."""
+    edges = set()
+    for r in range(n1):
+        for c in range(n2):
+            v = grid_index(r, c, n1)
+            if c + 1 < n2:
+                edges.add(frozenset((v, grid_index(r, c + 1, n1))))
+            if r + 1 < n1:
+                edges.add(frozenset((v, grid_index(r + 1, c, n1))))
+    return edges
+
+
+def _assert_edges(g, edges):
+    # every ordered pair, self pairs and one step out of range included
+    n = g.num_vertices
+    for a in range(-1, n + 1):
+        for b in range(-1, n + 1):
+            assert g.has_edge(a, b) == (frozenset((a, b)) in edges), (a, b)
+
+
+def test_has_edge_matches_grid_edge_set():
+    for n1 in range(1, 7):
+        for n2 in range(n1, 11):
+            g = ConnectivityGraph.grid(n1, n2)
+            assert g.num_vertices == n1 * n2
+            _assert_edges(g, _grid_edges(n1, n2))
+
+
+def test_has_edge_matches_path_edge_set():
+    for n in range(1, 17):
+        _assert_edges(ConnectivityGraph.path(n), _grid_edges(1, n))
+
+
+def test_has_edge_matches_complete_edge_set():
+    for n in range(1, 9):
+        edges = {frozenset((a, b)) for a in range(n) for b in range(a + 1, n)}
+        _assert_edges(ConnectivityGraph.complete(n), edges)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConnectivityGraph.grid(0, 5),
+    lambda: ConnectivityGraph.grid(5, 0),
+    lambda: ConnectivityGraph.grid(-1, 3),
+    lambda: ConnectivityGraph.path(0),
+    lambda: ConnectivityGraph.complete(0),
+    lambda: ConnectivityGraph.complete(-2),
+], ids=["grid-0x5", "grid-5x0", "grid-neg", "path-0", "complete-0",
+        "complete-neg"])
+def test_constructors_refuse_empty_shapes(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_gate_matrix_finite_unitary_at_huge_parameters():
+    # phi + lam overflows to inf here; each phase alone stays finite
+    big = 1.7e308
+    for signs in np.ndindex(2, 2, 2, 2):
+        params = [big if s else -big for s in signs]
+        m = gate_matrix(u_gate(0, *params))
+        assert np.isfinite(m).all(), params
+        assert np.allclose(m @ m.conj().T, np.eye(2)), params
 
 
 def test_cnot_self_inverse():

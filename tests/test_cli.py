@@ -171,6 +171,17 @@ def test_verify_k_out_of_range_is_usage_error(tmp_path, capsys, k_args):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_huge_finite_parameters_are_not_internal_error(tmp_path,
+                                                             capsys):
+    # phi + lam overflows to inf, but every parameter is finite: the
+    # circuit is well formed, so verify must judge it, not crash
+    f = tmp_path / "c.qc"
+    f.write_text("QUBITS 2\nU 0 1e308 1e308 1e308 1e308\n")
+    assert run(["verify", "--circuit", str(f), "--n", "2",
+                "--k", "1"]) in (0, 3)
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_verify_missing_file():
     assert run(["verify", "--circuit", "/nonexistent.qc", "--n", "4",
                 "--k", "1"]) == 2

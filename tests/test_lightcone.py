@@ -1,11 +1,14 @@
 import hashlib
 import math
+from collections import Counter, deque
+from itertools import accumulate
 
 import pytest
 
-from dickesynth.circuit import Circuit, ConnectivityGraph
-from dickesynth.lightcone import (AuditReport, audit_lower_bound,
-                                  build_lightcone, reachable)
+from dickesynth.circuit import Circuit, ConnectivityGraph, grid_index
+from dickesynth.lightcone import (AuditReport, _shape_bounds,
+                                  audit_lower_bound, build_lightcone,
+                                  reachable)
 from dickesynth.synth import prepare_dicke
 
 
@@ -153,6 +156,64 @@ def test_audit_flags_broken_growth_cap():
     assert not report.growth_ok
     assert not report.passed
     assert "cone growth caps: VIOLATED" in report.text()
+
+
+def _bfs(adj, start):
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    dq = deque([start])
+    while dq:
+        v = dq.popleft()
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                dq.append(w)
+    return dist
+
+
+def _bfs_bounds(n1, n2):
+    """Oracle: the audit's origins, caps and floor by double BFS over the
+    grid's explicit adjacency lists."""
+    adj = [[] for _ in range(n1 * n2)]
+    for r in range(n1):
+        for c in range(n2):
+            adj[grid_index(r, c, n1)] = [
+                grid_index(r + dr, c + dc, n1)
+                for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0))
+                if 0 <= r + dr < n1 and 0 <= c + dc < n2]
+    dist0 = _bfs(adj, 0)
+    far = max(range(len(adj)), key=lambda v: dist0[v])
+    dist_far = _bfs(adj, far)
+    other = max(range(len(adj)), key=lambda v: dist_far[v])
+    caps = []
+    for dist in (dist_far, _bfs(adj, other)):
+        counts = Counter(dist)
+        caps.append(list(accumulate(counts[s]
+                                    for s in range(max(dist) + 1))))
+    assert caps[0] == caps[1]
+    return (far, other), caps[0], math.ceil(dist_far[other] / 2)
+
+
+@pytest.mark.parametrize("n1,n2", [(n1, n2) for n1 in range(1, 6)
+                                   for n2 in range(n1, 9)]
+                         + [(1, 16), (1, 17)])
+def test_shape_bounds_match_bfs_oracle(n1, n2):
+    expected = _bfs_bounds(n1, n2)
+    assert _shape_bounds(ConnectivityGraph.grid(n1, n2)) == expected
+
+
+@pytest.mark.parametrize("topology,dims,k", [("grid", (2, 4), 1),
+                                             ("grid", (3, 5), 4),
+                                             ("grid", (4, 4), 2),
+                                             ("path", 9, 3)])
+def test_audit_origins_and_floor_match_bfs_oracle(topology, dims, k):
+    n1, n2 = dims if topology == "grid" else (1, dims)
+    report = audit_lower_bound(prepare_dicke(topology, dims, k),
+                               ConnectivityGraph.grid(n1, n2))
+    origins, _, floor = _bfs_bounds(n1, n2)
+    assert report.origins == origins
+    assert report.floor == floor
+    assert report.passed
 
 
 def _hadamards(n):
