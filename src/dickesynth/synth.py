@@ -32,11 +32,12 @@ from .circuit import (Circuit, ConnectivityGraph, asap_layering, compose,
                       grid_index, inverse, remap_qubits)
 from .encoding import u_uo
 from .primitives import build_ccx, fanout_copy
-from .unary import (DivideSpec, _givens_block, dicke_unitary_path,
+from .unary import (DivideSpec, _givens_run, dicke_unitary_path,
                     divide_unitary_path, hyper_weights, unary_amplitude_prep)
 
 __all__ = [
     "PlanNode",
+    "PlanConversion",
     "SynthesisPlan",
     "divide_unitary_ancilla",
     "synth_alltoall",
@@ -72,28 +73,50 @@ class PlanNode:
                 f"size={self.size} cx={self.cx}")
 
 
+@dataclass(frozen=True)
+class PlanConversion:
+    """A unary <-> one-hot conversion of a count register that the
+    all-to-all recursion places outside its divide nodes: ``u_uo`` before
+    the root divide, ``inverse(u_uo)`` before a tail ladder. ``depth``,
+    ``size`` and ``cx`` are its ASAP depth, gate count and CNOT count."""
+
+    name: str
+    qubits: tuple
+    depth: int
+    size: int
+    cx: int
+
+    def line(self) -> str:
+        return (f"{self.name} qubits={list(self.qubits)} depth={self.depth} "
+                f"size={self.size} cx={self.cx}")
+
+
 @dataclass
 class SynthesisPlan:
-    """Audit record of a synthesis run: one entry per divide node plus the
-    qubit blocks that end on a ladder Dicke unitary."""
+    """Audit record of a synthesis run: one entry per divide node, per
+    count conversion placed between them, and per qubit block that ends on
+    a ladder Dicke unitary. The circuit is exactly these pieces' gates."""
 
     topology: ConnectivityGraph
     n: int
     k: int
     recursion_tree: list = field(default_factory=list)
+    conversions: list = field(default_factory=list)
     tail_units: list = field(default_factory=list)
 
     def report(self) -> str:
         lines = [f"plan topology={self.topology.topology_tag} n={self.n} k={self.k}"]
         for node in self.recursion_tree:
             lines.append("  divide " + node.line())
+        for conv in self.conversions:
+            lines.append("  convert " + conv.line())
         for unit in self.tail_units:
             lines.append(f"  tail qubits={list(unit)}")
         return "\n".join(lines) + "\n"
 
 
 def _stats(t: Circuit) -> tuple:
-    """A node template's (ASAP depth, size, CNOT count) for its PlanNode."""
+    """A template's (ASAP depth, size, CNOT count) for its plan record."""
     return (asap_layering(t).depth, t.size,
             sum(1 for g in t.gates if g.kind == "cx"))
 
@@ -106,20 +129,29 @@ def _onehot_load(c: Circuit, slots: list, weights) -> None:
     a balanced tree of Givens rotations, each moving the mass of the upper
     half of a range from its first slot to the first slot of that half.
     Depth ceil(log2(len(slots))) rotations. Givens rotations keep Hamming
-    weight, so an all-zero block stays all-zero with no control."""
+    weight, so an all-zero block stays all-zero with no control.
+
+    The rotations out of one slot run back to back, so each such run
+    opens and closes its 2-CNOT Givens blocks' H on that slot only once."""
     mass = np.concatenate([[0.0], np.cumsum(np.asarray(weights) ** 2)])
 
     def split(lo: int, hi: int) -> None:
-        if hi - lo < 2:
-            return
-        mid = (lo + hi + 1) // 2
-        upper = mass[hi] - mass[mid]
-        if upper > 0.0:
-            theta = math.atan2(math.sqrt(upper),
-                               math.sqrt(max(mass[mid] - mass[lo], 0.0)))
-            _givens_block(c, slots[mid], slots[lo], None, theta)
-        split(lo, mid)
-        split(mid, hi)
+        # halve [lo, hi) down to slot lo, rotating each upper half's mass
+        # out of lo, then split the upper halves, innermost first
+        run, uppers = [], []
+        while hi - lo >= 2:
+            mid = (lo + hi + 1) // 2
+            upper = mass[hi] - mass[mid]
+            if upper > 0.0:
+                run.append((slots[mid], math.atan2(
+                    math.sqrt(upper),
+                    math.sqrt(max(mass[mid] - mass[lo], 0.0)))))
+            uppers.append((mid, hi))
+            hi = mid
+        if run:
+            _givens_run(c, slots[lo], run)
+        for upper_lo, upper_hi in reversed(uppers):
+            split(upper_lo, upper_hi)
 
     split(0, len(slots))
 
@@ -248,13 +280,14 @@ def synth_alltoall(n: int, k: int) -> tuple:
     0..k-1 before a root divide, each divide is the one-hot
     divide_unitary_ancilla, and each tail gets inverse(u_uo) on its count
     register just before its ladder. A root that takes the ladder gets no
-    conversion."""
+    conversion. The plan records each conversion as a PlanConversion."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
     plan = SynthesisPlan(g, n, k)
     c = Circuit(n)
     to_onehot = u_uo(range(k))
+    conv_stats = _stats(to_onehot)
     # block size -> ("ancilla", placed divide, its depth, size, CNOTs)
     # or ("ladder", placed ladder)
     chosen: dict = {}
@@ -283,6 +316,9 @@ def synth_alltoall(n: int, k: int) -> tuple:
         shift = range(base, base + nn)
         c.gates.extend(remap_qubits(placed, shift, n).gates)
         if variant == "ladder":
+            if nn < n:
+                plan.conversions.append(PlanConversion(
+                    "inverse(u_uo)", tuple(shift[:k]), *conv_stats))
             plan.tail_units.append(tuple(shift))
             return
         half = nn // 2            # low half keeps the count (S2 side)
@@ -295,6 +331,8 @@ def synth_alltoall(n: int, k: int) -> tuple:
 
     if choose(n)[0] == "ancilla":
         c.gates.extend(to_onehot.gates)
+        plan.conversions.append(PlanConversion("u_uo", tuple(range(k)),
+                                               *conv_stats))
     rec(0, n, 1)
     return c, plan
 
@@ -392,8 +430,8 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     Step i divides the count of columns [c_i, n2) between group i and the
     rest and routes the rest's share onto the next group's slab register;
     group i's ladder then runs beside the later steps. So the depth is
-    about g conveyors (D_k layers each; 5/37/86/148/472 at k = 1/2/3/4/8)
-    plus the last group's ladder, L_k layers per qubit (4/12/17 at
+    about g conveyors (D_k layers each; 5/34/75/131/445 at k = 1/2/3/4/8)
+    plus the last group's ladder, L_k layers per qubit (4/11/16 at
     k = 1/2/>=3). Minimising g D_k + L_k n / g gives
     g = round(sqrt(L_k n / D_k)), clamped to [1, n2 // max(k, 2w)] so each
     group holds the slab register (w = ceil(k/n1) columns) and the route
@@ -469,7 +507,7 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         conveyor = asap_layering(divide_unitary_path(DivideSpec(
             n=2 * k, m=k, k=k, left=tuple(range(k, 2 * k)),
             right=tuple(range(k))))).depth
-        slope = (4, 12, 17)[min(k, 3) - 1]   # ladder layers per qubit
+        slope = (4, 11, 16)[min(k, 3) - 1]   # ladder layers per qubit
         g = round(math.sqrt(slope * n / conveyor))
         g = max(1, min(g, n2 // max(k, 2 * w)))
         widest = -(-n2 // g)

@@ -12,7 +12,8 @@ qubit path, none of them relayed:
   the k "deposit" cells, emitting one controlled Givens rotation per
   meeting (depth O(k), size O(k^2)). A meeting takes at most 14 CNOTs: its
   one control two positions from the target is read through the adjacent
-  cell, never relayed.
+  cell, never relayed. Its closing CNOTs merge into the SWAP that follows
+  it, so the meeting and that SWAP take at most 15 CNOTs, not 17.
 * unary_amplitude_prep -- sum_l alpha_l |0^{k-l}1^l> from |0^k> via a
   rotation chain.
 """
@@ -74,23 +75,35 @@ def _givens_block(c: Circuit, hi: int, lo: int, far: int | None,
     (x_hi, x_lo), identity on |00>, |11>, emitted with 2 CNOTs as
     H(lo) CX(lo, hi) Ry(t)(lo) Ry(t)(hi) CX(lo, hi) H(lo). With far = hi+1
     present, the pattern far=1 applies the pi rotation instead (moving the
-    excitation block down in one step): 6 CNOTs."""
+    excitation block down in one step): 6 CNOTs, CX(hi, lo), a gray-code
+    multiplexor on hi and CX(hi, lo). The multiplexor's gates run in
+    reverse order, so it reads far first and lo last: the same unitary,
+    since its even CNOT count leaves the target where it started."""
     if far is None:
-        _h(c, lo)
+        _givens_run(c, lo, [(hi, theta)])
+        return
+    c.cx(hi, lo)
+    # gray-code multiplexor on hi, controls (lo, far): (1,0) -> 2 theta,
+    # (1,1) -> pi (index bit0 = lo, bit1 = far)
+    for alpha, flip in reversed(_gray_steps((0.0, 2.0 * theta, 0.0,
+                                             math.pi))):
+        c.cx((lo, far)[flip], hi)
+        if alpha != 0.0:
+            c.ry(hi, alpha)
+    c.cx(hi, lo)
+
+
+def _givens_run(c: Circuit, lo: int, blocks) -> None:
+    """2-CNOT Givens blocks (hi, theta) in order, all on one slot lo. Each
+    is _givens_block's, but the run opens and closes H(lo) only once: the
+    H(lo) H(lo) between two blocks is the identity."""
+    _h(c, lo)
+    for hi, theta in blocks:
         c.cx(lo, hi)
         c.ry(lo, theta)
         c.ry(hi, theta)
         c.cx(lo, hi)
-        _h(c, lo)
-        return
-    c.cx(hi, lo)
-    # gray-code multiplexor on hi, controls (far, lo): (0,1) -> 2 theta,
-    # (1,1) -> pi (index bit0 = far, bit1 = lo)
-    for alpha, flip in _gray_steps((0.0, 0.0, 2.0 * theta, math.pi)):
-        if alpha != 0.0:
-            c.ry(hi, alpha)
-        c.cx((far, lo)[flip], hi)
-    c.cx(hi, lo)
+    _h(c, lo)
 
 
 def dicke_unitary_path(n: int, k: int) -> Circuit:
@@ -131,7 +144,11 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
 
     A meeting guarded by both s2[u] and s1[i-1] takes 14 CNOTs, by s1[i-1]
     alone 10 and by s2[u] alone 6; the meeting u = k, i = 0 is the 2-CNOT
-    Givens block (see _divide_givens). Every CNOT joins adjacent positions."""
+    Givens block (see _divide_givens). Every meeting but that one and the
+    last round's merges its closing CNOTs into its pair's SWAP: the two
+    take 2 CNOTs fewer than apart where a later meeting of the round reads
+    the pair's S1 cell, and 4 fewer elsewhere. Every CNOT joins adjacent
+    positions."""
     n, m, k = spec.n, spec.m, spec.k
     c = Circuit(2 * k)
     # residual-mass tables: T[i][l] = sum_{j>=i} w_j(l)^2
@@ -152,14 +169,22 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
                 assert cells[pos] == ("s2", u - 1), (t, u, i, cells)
                 assert cells[pos + 1] == ("s1", i), (t, u, i, cells)
                 round_pairs.append((pos, u, i))
+        # the last round's one SWAP would be undone at once by the reverse
+        # conveyor's first, so neither is emitted
+        swap = t < 2 * k - 1
+        # what is left of each pair's SWAP once its meeting merges into it
+        # (None: the SWAP stays whole)
+        rest = {}
         for pos, u, i in round_pairs:
             if u + i <= k:
-                _divide_givens(c, cells, pos, u, i, k, w2)
+                rest[pos] = _divide_givens(c, cells, pos, u, i, k, w2, swap)
         for pos, _, _ in round_pairs:
-            # the last round's one SWAP would be undone at once by the
-            # reverse conveyor's first, so neither is emitted
-            if t < 2 * k - 1:
-                c.swap(pos, pos + 1)
+            if swap:
+                if rest.get(pos) is None:
+                    c.swap(pos, pos + 1)
+                else:
+                    for a, b in rest[pos]:
+                        c.cx(a, b)
                 swaps_forward.append((pos, pos + 1))
             cells[pos], cells[pos + 1] = cells[pos + 1], cells[pos]
     # all S1 cells are now at 0..k-1 in order; undo the permutation with
@@ -171,13 +196,23 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
 
 
 def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
-                   w2: dict) -> None:
+                   w2: dict, swap: bool = False) -> list | None:
     """Controlled Givens at a conveyor meeting: S2 cell u-1 at path position
     pos, S1 cell i at pos+1. Rotates (s2,s1) = (1,0) -> cos(1,0)+sin(0,1),
     guarded by s2[u] = 0 (no higher count bit) and s1[i-1] = 1 (a one was
     already deposited in the previous slot; omitted for i = 0). The s2[u]
     guard is omitted where u + i = k: s2[u] = 1 there means a count above
-    k, which no input holds."""
+    k, which no input holds.
+
+    With swap, the round swaps the pair once all its meetings are emitted,
+    and the meeting's closing CX(hi, lo) merges into that SWAP, written
+    CX(hi, lo) CX(lo, hi) CX(hi, lo): the two CX(hi, lo) cancel, which
+    leaves CX(lo, hi) CX(hi, lo). The closing CX may wait for the SWAP, as
+    the round's later meetings touch hi only as a control and lo not at
+    all. Where no later meeting touches hi (u + i >= k - 1), the meeting's
+    last CX(lo, hi) cancels the SWAP's too, which leaves CX(hi, lo). Returns
+    the CNOTs left of the SWAP, for the caller to emit in its place, or
+    None where the SWAP stays whole."""
     ell = u + i
     mass = sum(w2[ell][j] for j in range(i, k + 1))
     if mass <= 0.0:
@@ -187,7 +222,7 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
     lo, hi = pos, pos + 1  # B = s2 cell, A = s1 cell
     if u == k and i == 0:
         _givens_block(c, hi, lo, None, theta)
-        return
+        return None
     # Gray-code multiplexor on hi. Its controls, least significant first:
     # s2[u] (while u + i < k), lo' ^ s1[i-1] (for i > 0) and lo', where lo'
     # = s2 xor s1 is lo after the first CX. The last two are both read
@@ -215,7 +250,13 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
             c.cx(pos - 1, lo)
             state = not state
         c.cx(lo, hi)
-    c.cx(hi, lo)
+    if not swap:
+        c.cx(hi, lo)
+        return None
+    if u + i < k - 1:
+        return [(lo, hi), (hi, lo)]
+    c.gates.pop()  # the last step's CX(lo, hi), always the last gate
+    return [(hi, lo)]
 
 
 def unary_amplitude_prep(k: int, amplitudes) -> Circuit:

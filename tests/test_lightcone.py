@@ -227,17 +227,17 @@ def _hadamards(n):
 # byte for byte
 AUDIT_DIGESTS = [
     (lambda: prepare_dicke("complete", 64, 4), ConnectivityGraph.complete(64),
-     "dab98ec0733945af5eec8d514f1e963604d1cd38471a21f0d0b8e44efda49d05"),
+     "dd891170bdc01c0ad8c9ecd88f957351bb15591171c3448842938fd8c0f3c0c8"),
     (lambda: prepare_dicke("complete", 2, 1), ConnectivityGraph.complete(2),
      "6d25656f00d9c1d1ff34323ecdebb06c015cea2bcc1537f8b7132f295c8e359e"),
     (lambda: Circuit(1), ConnectivityGraph.complete(1),
      "80453a3e298dafc95c46c065516cd9cb47abe01a43f4a0c3ea58da4336064f58"),
     (lambda: prepare_dicke("grid", (8, 8), 4), ConnectivityGraph.grid(8, 8),
-     "cbfab40c3620713f9972d07b630111928c91e771e0cb3fdeaadc927c6f46416e"),
+     "a7121fc6645a7e294ac21add90512429105331400a39092d338b068c84a1cfdd"),
     (lambda: prepare_dicke("grid", (2, 16), 1), ConnectivityGraph.grid(2, 16),
      "42feeeb3687336b44443bf30c0950eb500422f4a330908c02ce5452da22448dd"),
     (lambda: prepare_dicke("path", 16, 2), ConnectivityGraph.path(16),
-     "b109068681f448a30219fd8c7c85ffda96dd85486cc964bad61ea05e8e85f34b"),
+     "8c4d934733ce4c9a8a5542bdcc0c2ecbe2bebf20379eb773bb845ce3a39a9fd3"),
     (lambda: _hadamards(16), ConnectivityGraph.complete(16),
      "d27ef54b92a8c254084b13a340ad6cd43996ad5bcf3cf9615084fe3bc563acb6"),
 ]

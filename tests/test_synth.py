@@ -225,7 +225,7 @@ def test_divide_ancilla_bottom_level_depth(nn, k, depth):
 
 
 def test_alltoall_depth_target():
-    for n, k, depth in [(1024, 8, 613), (512, 16, 1141)]:
+    for n, k, depth in [(1024, 8, 580), (512, 16, 1064)]:
         c, _ = synth_alltoall(n, k)
         assert asap_layering(c).depth <= depth, (n, k)
 
@@ -298,32 +298,45 @@ def _cx(c):
                               "alltoall-1024-8", "grid-8x16-4",
                               "grid-2x32-1"])
 def test_plan_nodes_record_cx(make):
-    # the circuit is its divide nodes and its tail ladders laid end to end,
-    # plus, on the complete graph, one unary <-> one-hot conversion at the
-    # root and one before each tail; so their CNOT counts and sizes must
-    # add up to the circuit's
+    # the circuit is its divide nodes, its count conversions and its tail
+    # ladders laid end to end, so their CNOT counts and sizes must add up
+    # to the circuit's
     c, plan = make()
     nodes = plan.recursion_tree
     assert nodes
     ladders = [dicke_unitary_path(len(u), min(plan.k, len(u)))
                for u in plan.tail_units]
-    convs = []
-    if plan.topology.topology_tag == "complete":
-        convs = [u_uo(range(plan.k))] * (1 + len(plan.tail_units))
-    assert (sum(node.cx for node in nodes) + sum(map(_cx, ladders + convs))
-            == _cx(c))
-    assert (sum(node.size for node in nodes)
-            + sum(t.size for t in ladders + convs) == c.size)
+    records = nodes + plan.conversions
+    assert sum(r.cx for r in records) + sum(map(_cx, ladders)) == _cx(c)
+    assert (sum(r.size for r in records) + sum(t.size for t in ladders)
+            == c.size)
     report = plan.report()
     for node in plan.recursion_tree:
         assert 0 < node.cx < node.size
         assert node.line().endswith(f"size={node.size} cx={node.cx}")
         assert node.line() in report
+    # on the complete graph: one u_uo at the root, one inverse(u_uo) on the
+    # count register of each tail
+    if plan.topology.topology_tag == "complete":
+        conv = u_uo(range(plan.k))
+        assert [r.name for r in plan.conversions] == (
+            ["u_uo"] + ["inverse(u_uo)"] * len(plan.tail_units))
+        assert [r.qubits for r in plan.conversions[1:]] == [
+            unit[:plan.k] for unit in plan.tail_units]
+        for r in plan.conversions:
+            assert (r.depth, r.size, r.cx) == (
+                asap_layering(conv).depth, conv.size, _cx(conv))
+            assert "  convert " + r.line() in report
+    else:
+        assert plan.conversions == []
 
 
 def _alltoall_every_ladder(n, k):
     """Oracle for synth_alltoall: the same depth-scored choice per block
-    size, with the ladder built and scored at every size."""
+    size, with the ladder built and scored at every size. The choice is
+    between the templates the one-hot recursion can place, the ladder and
+    the one-hot ancilla divide; the path conveyor takes and leaves the
+    count in unary, so this assembly with it is no Dicke unitary."""
     chosen = {}
 
     def choose(nn):
@@ -339,7 +352,6 @@ def _alltoall_every_ladder(n, k):
                 if len(idle) >= 2 * k:
                     options.append((divide_unitary_ancilla(
                         spec, idle, num_qubits=nn), below, True))
-                options.append((divide_unitary_path(spec), below, True))
             scores = [asap_layering(t).depth + below
                       for t, below, _ in options]
             best = scores.index(min(scores))
@@ -701,46 +713,46 @@ def test_prepare_symmetric_rejects_non_finite(alpha):
 DUMPS_SHA256 = {
     "synth_alltoall(16,2)": (
         lambda: synth_alltoall(16, 2)[0],
-        "09d9bd2165009bec8c86d331b4756b10d55366b467c09fb7af2b4961c1dd3854"),
+        "c0bd1cd6dc60ab7587a4840f11eb77989b5ffc4abb2d6bb71ba6d3f902a2fd7c"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "7c6fc455782c79d25b8da7e6bc7a6dc126224b3ccc133ccff5fc756db31fc420"),
+        "2c174a8802d590567bdda1973cd08421859bebf568854864a6c861f76340ea14"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "5d5431835ef039dceb62fee86c5721ae5e931427b81d39a6562f766a4214de97"),
+        "3aaefeda8c8277bc102006722a8cdba4ec152c81e088fa5dc52c44130d235f89"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "96f60cf84e2363fa791223fbfa88d792879f0a0653b825ed1c19565e618bc4ff"),
+        "ac0aa6621ccf4f8242583d7075fb23cc36b36867b93224732ba1707f6b6a083f"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
-        "93014f49026181dc567b539566a611dcbc809760658245168cefdc48605353e9"),
+        "c9e4667ed7ee4d0723ec19d1ffe3066a9d2c7442c33547cd9d09c2909d63c3fe"),
     "synth_grid(8,16,4)": (
         lambda: synth_grid(8, 16, 4)[0],
-        "6b12d6a2c792318e249aad6d5847b04a639663f9f1e7c01a76e18f6552dca052"),
+        "79437a21e5019a587ef473b6c126f77e4b3f1e1ffa15a6f8eef642ec30138c0f"),
     "synth_grid(2,32,1)": (
         lambda: synth_grid(2, 32, 1)[0],
         "d9fdd4887289f48a8bf31dea2508e165f542993d3a24cb9cfa33410988ec4781"),
     "synth_grid(16,16,8)": (
         lambda: synth_grid(16, 16, 8)[0],
-        "ff7f1dc9262aae84fbfa49ad9888c5ec6f45aa5db9ce0a9aa310111cf468f66a"),
+        "68752763b0ea1a456f0170120264b5d76753a59d3f18c28e91f206f9ef845b25"),
     "synth_grid(16,16,2)": (
         lambda: synth_grid(16, 16, 2)[0],
-        "117f84d005b7d6e10b46055456aababd438a442d60e30354b243c59cef702720"),
+        "a21055cde4d85a7c6d5cdcd8431e4f270f99b9969b373bdd48a80866733ce51e"),
     "synth_grid(3,6,2)": (
         lambda: synth_grid(3, 6, 2)[0],
-        "e2548d6f8d02f3a2c2d40f38838fd970eeaef8d93ad66370d77dbf6439ae54c9"),
+        "091aaf0d82478009a61d2df2509ab1153aafc4da7bb8b65a35e9b2e8c26c862d"),
     "synth_grid(4,64,2)": (
         lambda: synth_grid(4, 64, 2)[0],
-        "d40253da9e67c2b713197dda800a210d350e22dac323797eeb5c99080c46448f"),
+        "e9f412e23c83b6dbfbeb9618341193e69fd3d8fd54749604d42218536d91a732"),
     "dicke_unitary_path(64,4)": (
         lambda: dicke_unitary_path(64, 4),
-        "1a111bf70340f5d8162d1b529d6c89df62000ccf3dcf094021c4608480788e4d"),
+        "ec3d67fd2da5b2148844567a5808cf680ea901b02543ab3a52b5c098dcd04835"),
     "prepare_symmetric(complete,8,3)": (
         lambda: prepare_symmetric("complete", 8, 3, [0.5] * 4),
-        "0cb61b003c421fb329390b44740f4bdc44474667252967c4b12fef151a564f52"),
+        "67085949b493f029108354b2a9b103460d899668d6f545cf63e5b6bc24e8eeb2"),
     "prepare_dicke(grid,(2,4),2)": (
         lambda: prepare_dicke("grid", (2, 4), 2),
-        "4b73a51a975084d4db929e507bbb59153ee923d7374a6a2643e076fbecb16df4"),
+        "8794fa9a97ae8d574f11fd79fa6dba288c2cef7828d74a2f1201b26b741ec79f"),
 }
 
 
@@ -750,19 +762,17 @@ def test_dumps_byte_identical(case):
     assert hashlib.sha256(dumps(build()).encode()).hexdigest() == digest
 
 
-# sha256 of dumps() of the one-hot divide wrapped in unary conversions,
-# taken when divide_unitary_ancilla itself still emitted them: the wrap is
-# that circuit gate for gate
+# sha256 of dumps() of the one-hot divide wrapped in unary conversions
 UNARY_DIVIDE_SHA256 = {
     "aa_spec(8,4,2)": (
         lambda: unary_divide(aa_spec(8, 4, 2), range(4, 12), num_qubits=12),
-        "14a7c1c8bb69fe6d8c43c3e5b04eefe65e415c0a992b4d4844682fc42f560904"),
+        "b57c85d4542a96579e384c2b71e91a9c785c8eb761613faae2e91724c10bcf57"),
     "_top_spec(60,10)": (
         lambda: _top_divide(60, 10),
-        "af90b117ab23b810bb9393ee109cfa75e424a76007601d0ab4a673a441fb0452"),
+        "91c5ecc72e535b6e557f89f6f3244ef19418b804b89f18fa747c506adcbbe430"),
     "_top_spec(1024,8)": (
         lambda: _top_divide(1024, 8),
-        "c63a166ce84047e3e112c13009cbb95c784d542509b1c8a2c369286f518ab877"),
+        "b1d2fc1e40954b75f7b608bae60066d92db1cd8dac1379e70b010671526c4467"),
 }
 
 
@@ -776,13 +786,13 @@ def test_unary_divide_byte_identical(case):
 # those of its divide-and-route template, and the .plan file shows them
 PLAN_REPORT_SHA256 = {
     (16, 16, 8):
-        "f8f4ba68d2f6a85258f5c825c3112cb1108a05921ffda362958855b7445f9323",
+        "ab34f651a4adebe4ef3efcdf6555cf15396dcee58c2b2e52b93dc7431cf3e958",
     (16, 16, 2):
-        "d8d160899d071f1dcec107732fff1ddb3fa595ffa6977fb7c4a93b3d282474ff",
+        "c9a8928efd257f5255cec8f64d1bacf6b374336f87113c9f755e63d9345fd5ca",
     (4, 64, 2):
-        "3f9ac0c1fe4cc90f84169418c3172e98267c8a19888fac09cec9e92e80855dd0",
+        "c677f718663f30b6d763dcff96f8185ec57c7964680cfea05138e5e0774093e2",
     (3, 6, 2):
-        "f145382ad2d7e0e604d1ee5c276112850a08e62faa82c1c3bd1edbe95b3adb8c",
+        "a2c6074d034f5ea3e7bf0b8cac9d38f61fdbed9347d5a2574ddb322d90f04f19",
 }
 
 
@@ -796,12 +806,12 @@ def test_grid_plan_report_pinned(dims):
 
 # sha256 of plan.report() on the complete graph: a node's depth, size and
 # CNOT count are those of the one-hot divide placed there (the root of
-# (1024,8) reads depth=46 size=818 cx=422)
+# (1024,8) reads depth=40 size=784 cx=422)
 ALLTOALL_PLAN_REPORT_SHA256 = {
     (64, 2):
-        "5fa40b85215d6f14495b153c48645c36b7d722347bf1d40e8a7a3089baedd1aa",
+        "6aa6218b35acc5a1ca8810003ede97ffa930caf16836094bc1303283c685c8d4",
     (1024, 8):
-        "848577a3da4ae9ea62cdfc1627f3fdae31b80321da0a1634b49f2d5ea3544c5e",
+        "df95d0579538fd8b1e94f08265171d548da4c0533dd28f04bae1f4334515ef2e",
 }
 
 

@@ -98,6 +98,17 @@ def test_dicke_path_cx_count(n, k):
     assert _cx_count(dicke_unitary_path(n, k)) <= LADDER_CX_MAX[(n, k)]
 
 
+# ASAP depth of the ladder: each middle block's multiplexor reads its far
+# control first, so consecutive sweeps overlap
+LADDER_DEPTH_MAX = {(64, 8): 1051, (64, 32): 1291}
+
+
+@pytest.mark.parametrize("n,k", list(LADDER_DEPTH_MAX))
+def test_dicke_path_depth(n, k):
+    depth = asap_layering(dicke_unitary_path(n, k)).depth
+    assert depth <= LADDER_DEPTH_MAX[(n, k)]
+
+
 def test_dicke_path_weight_one_is_givens_blocks():
     # at k = 1 every block is a sweep's top block: 2 CNOTs each
     for n in range(2, 41):
@@ -268,7 +279,34 @@ def test_divide_meeting_cx_count(u, i, k, cx):
                for a, b in [g.qubits])
 
 
-CONVEYOR_CX_MAX = {4: 182, 8: 786, 16: 3242}
+@pytest.mark.parametrize("u,i,k,cx", [(1, 1, 3, 13), (2, 1, 3, 9),
+                                      (1, 0, 3, 7), (3, 0, 3, 5),
+                                      (1, 1, 4, 15)])
+def test_divide_meeting_merges_into_swap(u, i, k, cx):
+    # a meeting followed by its pair's SWAP (3 CNOTs) merges its closing
+    # CNOTs into it: the two take cx CNOTs, and the same unitary as the
+    # whole meeting then the SWAP
+    cells = [("s1", i - 1), ("s2", u - 1), ("s1", i), ("s2", u)]
+    w2 = {ell: hyper_weights(4 * k, 2 * k, k, ell) ** 2
+          for ell in range(k + 1)}
+    whole = Circuit(4)
+    _divide_givens(whole, cells, 1, u, i, k, w2)
+    whole.swap(1, 2)
+    c = Circuit(4)
+    rest = _divide_givens(c, cells, 1, u, i, k, w2, swap=True)
+    if rest is None:
+        c.swap(1, 2)
+    else:
+        for a, b in rest:
+            c.cx(a, b)
+    assert _cx_count(c) == cx
+    assert all(abs(a - b) == 1 for g in c.gates if g.kind == "cx"
+               for a, b in [g.qubits])
+    for x in range(16):
+        assert np.abs(simulate(c, x) - simulate(whole, x)).max() < 1e-12
+
+
+CONVEYOR_CX_MAX = {4: 156, 8: 692, 16: 2916}
 
 
 @pytest.mark.parametrize("k", list(CONVEYOR_CX_MAX))
