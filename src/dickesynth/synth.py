@@ -6,7 +6,9 @@ ones occupying qubits 0..l-1:
 
 * ``synth_alltoall``: recursive halving on unrestricted connectivity. A
   block takes the ancilla-accelerated divide, run on its own idle qubits,
-  while it has the 2k of them that divide needs, and the ladder after.
+  while it has the 2k of them that divide needs; a smaller one takes the
+  path conveyor where that is shallower than the ladder, and the ladder
+  otherwise.
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
   with the conveyor divide when the grid is tall enough (k >= n2/n1) and a
   left-to-right column-group sweep otherwise. The sweep's g groups balance
@@ -51,8 +53,9 @@ __all__ = [
 class PlanNode:
     """One divide step of a synthesis recursion. ``variant`` names the
     divide that ran: "ancilla" (``divide_unitary_ancilla`` on the node's
-    idle qubits; every all-to-all node) or "path" (the nearest-neighbor
-    conveyor; every grid node). ``depth``, ``size`` and ``cx`` are the ASAP
+    idle qubits; all-to-all blocks of 4k qubits or more) or "path" (the
+    nearest-neighbor conveyor; every grid node, and all-to-all blocks
+    where it beats the ladder). ``depth``, ``size`` and ``cx`` are the ASAP
     depth, gate count and CNOT count of the template placed at the node; a
     grid node's cover the divide and the slab route that follows it."""
 
@@ -77,8 +80,9 @@ class PlanNode:
 class PlanConversion:
     """A unary <-> one-hot conversion of a count register that the
     all-to-all recursion places outside its divide nodes: ``u_uo`` before
-    the root divide, ``inverse(u_uo)`` before a tail ladder. ``depth``,
-    ``size`` and ``cx`` are its ASAP depth, gate count and CNOT count."""
+    a root ancilla divide, ``inverse(u_uo)`` before a conveyor or ladder
+    under an ancilla divide. ``depth``, ``size`` and ``cx`` are its ASAP
+    depth, gate count and CNOT count."""
 
     name: str
     qubits: tuple
@@ -264,6 +268,12 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla,
 # --- all-to-all recursion ---------------------------------------------------
 
 
+def _ladder_slope(k: int) -> int:
+    """Layers per qubit of dicke_unitary_path(nn, k): for nn > k its depth
+    is this times nn, plus a constant of k."""
+    return (4, 11, 16)[min(k, 3) - 1]
+
+
 def synth_alltoall(n: int, k: int) -> tuple:
     """Dicke unitary on unrestricted connectivity.
 
@@ -271,54 +281,65 @@ def synth_alltoall(n: int, k: int) -> tuple:
     half its share of the count, then each half recurses; a block may
     instead finish on the linear ladder. The blocks of a layer are
     identical, so one template is built per block size and placed on
-    every block of that size. A block of nn qubits divides when its
-    nn - 2k idle qubits hold the 2k ancilla divide_unitary_ancilla needs
-    (nn >= 4k) and takes the ladder otherwise. Depth is
-    O(log k log(n/k) + k).
+    every block of that size. A block of nn qubits takes the
+    ancilla-accelerated divide when its nn - 2k idle qubits hold the 2k
+    ancilla divide_unitary_ancilla needs (nn >= 4k). A block of
+    2k < nn < 4k takes the path conveyor divide_unitary_path when the
+    conveyor is shallower than the ladder it saves on the upper half,
+    L_k floor(nn/2) layers (L_k = _ladder_slope(k)): its halves, below 2k
+    qubits, take the ladder. The conveyor is built to be scored, so such a
+    block size may build one it does not place. Every other block takes
+    the ladder. Depth is O(log k log(n/k) + k).
 
-    The count stays one-hot between levels: u_uo runs once on qubits
-    0..k-1 before a root divide, each divide is the one-hot
-    divide_unitary_ancilla, and each tail gets inverse(u_uo) on its count
-    register just before its ladder. A root that takes the ladder gets no
-    conversion. The plan records each conversion as a PlanConversion."""
+    The ancilla divide takes and leaves the count one-hot; the conveyor
+    and the ladder take it in unary. So u_uo runs once on qubits 0..k-1
+    before a root ancilla divide, and each conveyor or ladder under an
+    ancilla divide gets inverse(u_uo) on its count register just before
+    it. The plan records each conversion as a PlanConversion."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
     plan = SynthesisPlan(g, n, k)
     c = Circuit(n)
     to_onehot = u_uo(range(k))
+    from_onehot = inverse(to_onehot)
     conv_stats = _stats(to_onehot)
-    # block size -> ("ancilla", placed divide, its depth, size, CNOTs)
-    # or ("ladder", placed ladder)
+    # block size -> (variant, placed template, its depth, size, CNOTs);
+    # variant "ancilla" or "path" divides, "ladder" ends the block
     chosen: dict = {}
 
     def choose(nn: int) -> tuple:
         if nn not in chosen:
+            half = nn // 2
+            spec = DivideSpec(n=nn, m=nn - half, k=k,
+                              left=tuple(range(half, half + k)),
+                              right=tuple(range(k))) if nn > 2 * k else None
             if nn - 2 * k >= 2 * k:   # the divide's 2k idle qubits fit
-                half = nn // 2
-                spec = DivideSpec(n=nn, m=nn - half, k=k,
-                                  left=tuple(range(half, half + k)),
-                                  right=tuple(range(k)))
                 idle = tuple(range(k, half)) + tuple(range(half + k, nn))
                 template = divide_unitary_ancilla(spec, idle, num_qubits=nn)
                 chosen[nn] = ("ancilla", template, *_stats(template))
-            else:
-                ladder = dicke_unitary_path(nn, k)
-                if nn < n:            # the count arrives one-hot
-                    ladder = Circuit(nn, [*inverse(to_onehot).gates,
-                                          *ladder.gates])
-                chosen[nn] = ("ladder", ladder)
+            elif nn > 2 * k:
+                template = divide_unitary_path(spec)
+                stats = _stats(template)
+                if stats[0] < _ladder_slope(k) * half:
+                    chosen[nn] = ("path", template, *stats)
+            if nn not in chosen:
+                chosen[nn] = ("ladder", dicke_unitary_path(nn, k))
         return chosen[nn]
 
-    def rec(base: int, nn: int, layer: int) -> None:
+    def rec(base: int, nn: int, layer: int, onehot: bool) -> None:
         variant, placed, *stats = choose(nn)
         # remap_qubits checks the offset map once, not each gate
         shift = range(base, base + nn)
+        if onehot != (variant == "ancilla"):
+            # convert the count to the form the block's variant takes
+            name, conv = (("inverse(u_uo)", from_onehot) if onehot
+                          else ("u_uo", to_onehot))
+            c.gates.extend(remap_qubits(conv, shift[:k], n).gates)
+            plan.conversions.append(PlanConversion(
+                name, tuple(shift[:k]), *conv_stats))
         c.gates.extend(remap_qubits(placed, shift, n).gates)
         if variant == "ladder":
-            if nn < n:
-                plan.conversions.append(PlanConversion(
-                    "inverse(u_uo)", tuple(shift[:k]), *conv_stats))
             plan.tail_units.append(tuple(shift))
             return
         half = nn // 2            # low half keeps the count (S2 side)
@@ -326,14 +347,10 @@ def synth_alltoall(n: int, k: int) -> tuple:
         s1 = tuple(range(base + half, base + half + k))
         plan.recursion_tree.append(PlanNode(layer, nn, nn - half, s1, s2,
                                             variant, *stats))
-        rec(base, half, layer + 1)
-        rec(base + half, nn - half, layer + 1)
+        rec(base, half, layer + 1, variant == "ancilla")
+        rec(base + half, nn - half, layer + 1, variant == "ancilla")
 
-    if choose(n)[0] == "ancilla":
-        c.gates.extend(to_onehot.gates)
-        plan.conversions.append(PlanConversion("u_uo", tuple(range(k)),
-                                               *conv_stats))
-    rec(0, n, 1)
+    rec(0, n, 1, False)   # the count arrives in unary
     return c, plan
 
 
@@ -507,8 +524,7 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         conveyor = asap_layering(divide_unitary_path(DivideSpec(
             n=2 * k, m=k, k=k, left=tuple(range(k, 2 * k)),
             right=tuple(range(k))))).depth
-        slope = (4, 11, 16)[min(k, 3) - 1]   # ladder layers per qubit
-        g = round(math.sqrt(slope * n / conveyor))
+        g = round(math.sqrt(_ladder_slope(k) * n / conveyor))
         g = max(1, min(g, n2 // max(k, 2 * w)))
         widest = -(-n2 // g)
         g = -(-n2 // widest)     # fewest groups no wider than widest

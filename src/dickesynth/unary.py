@@ -172,19 +172,17 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
         # the last round's one SWAP would be undone at once by the reverse
         # conveyor's first, so neither is emitted
         swap = t < 2 * k - 1
-        # what is left of each pair's SWAP once its meeting merges into it
-        # (None: the SWAP stays whole)
-        rest = {}
+        # the CNOTs of each pair's SWAP: all three, or what is left of them
+        # once the pair's meeting merges into it
+        rest = {pos: [(pos, pos + 1), (pos + 1, pos), (pos, pos + 1)]
+                if swap else [] for pos, _, _ in round_pairs}
         for pos, u, i in round_pairs:
             if u + i <= k:
                 rest[pos] = _divide_givens(c, cells, pos, u, i, k, w2, swap)
         for pos, _, _ in round_pairs:
+            for a, b in rest[pos]:
+                c.cx(a, b)
             if swap:
-                if rest.get(pos) is None:
-                    c.swap(pos, pos + 1)
-                else:
-                    for a, b in rest[pos]:
-                        c.cx(a, b)
                 swaps_forward.append((pos, pos + 1))
             cells[pos], cells[pos + 1] = cells[pos + 1], cells[pos]
     # all S1 cells are now at 0..k-1 in order; undo the permutation with
@@ -196,7 +194,7 @@ def divide_unitary_path(spec: DivideSpec) -> Circuit:
 
 
 def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
-                   w2: dict, swap: bool = False) -> list | None:
+                   w2: dict, swap: bool = False) -> list:
     """Controlled Givens at a conveyor meeting: S2 cell u-1 at path position
     pos, S1 cell i at pos+1. Rotates (s2,s1) = (1,0) -> cos(1,0)+sin(0,1),
     guarded by s2[u] = 0 (no higher count bit) and s1[i-1] = 1 (a one was
@@ -204,15 +202,16 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
     guard is omitted where u + i = k: s2[u] = 1 there means a count above
     k, which no input holds.
 
-    With swap, the round swaps the pair once all its meetings are emitted,
-    and the meeting's closing CX(hi, lo) merges into that SWAP, written
-    CX(hi, lo) CX(lo, hi) CX(hi, lo): the two CX(hi, lo) cancel, which
-    leaves CX(lo, hi) CX(hi, lo). The closing CX may wait for the SWAP, as
-    the round's later meetings touch hi only as a control and lo not at
-    all. Where no later meeting touches hi (u + i >= k - 1), the meeting's
-    last CX(lo, hi) cancels the SWAP's too, which leaves CX(hi, lo). Returns
-    the CNOTs left of the SWAP, for the caller to emit in its place, or
-    None where the SWAP stays whole."""
+    Without swap the meeting is emitted whole. With swap, the round swaps
+    the pair once all its meetings are emitted, and the meeting's closing
+    CX(hi, lo) merges into that SWAP, written CX(hi, lo) CX(lo, hi)
+    CX(hi, lo): the two CX(hi, lo) cancel, which leaves CX(lo, hi)
+    CX(hi, lo). The closing CX may wait for the SWAP, as the round's later
+    meetings touch hi only as a control and lo not at all. Where no later
+    meeting touches hi (u + i >= k - 1), the multiplexor's last CX(lo, hi)
+    cancels the SWAP's too, so neither is emitted, which leaves CX(hi, lo).
+    Returns the CNOTs left of the SWAP (none without swap), for the caller
+    to emit in its place."""
     ell = u + i
     mass = sum(w2[ell][j] for j in range(i, k + 1))
     if mass <= 0.0:
@@ -222,7 +221,7 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
     lo, hi = pos, pos + 1  # B = s2 cell, A = s1 cell
     if u == k and i == 0:
         _givens_block(c, hi, lo, None, theta)
-        return None
+        return [(lo, hi), (hi, lo), (lo, hi)] if swap else []
     # Gray-code multiplexor on hi. Its controls, least significant first:
     # s2[u] (while u + i < k), lo' ^ s1[i-1] (for i > 0) and lo', where lo'
     # = s2 xor s1 is lo after the first CX. The last two are both read
@@ -239,8 +238,12 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
     angles = [0.0] * (1 << len(toggled))
     angles[len(angles) >> 1] = 2.0 * theta
     state = False  # whether lo holds lo' ^ s1[i-1]
+    # no later meeting touches hi: the multiplexor's last CX(lo, hi)
+    # cancels the SWAP's
+    cancel = swap and u + i >= k - 1
+    steps = _gray_steps(angles)
     c.cx(hi, lo)
-    for alpha, flip in _gray_steps(angles):
+    for j, (alpha, flip) in enumerate(steps):
         if alpha != 0.0:
             c.ry(hi, alpha)
         if near and flip == 0:
@@ -249,14 +252,12 @@ def _divide_givens(c: Circuit, cells, pos: int, u: int, i: int, k: int,
         if state != toggled[flip]:
             c.cx(pos - 1, lo)
             state = not state
-        c.cx(lo, hi)
+        if not (cancel and j == len(steps) - 1):
+            c.cx(lo, hi)
     if not swap:
         c.cx(hi, lo)
-        return None
-    if u + i < k - 1:
-        return [(lo, hi), (hi, lo)]
-    c.gates.pop()  # the last step's CX(lo, hi), always the last gate
-    return [(hi, lo)]
+        return []
+    return [(hi, lo)] if cancel else [(lo, hi), (hi, lo)]
 
 
 def unary_amplitude_prep(k: int, amplitudes) -> Circuit:

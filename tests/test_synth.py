@@ -273,8 +273,8 @@ def test_alltoall_plan_structure():
 
 
 def test_plan_records_divide_variant_that_ran():
-    # synth_alltoall divides only with the ancilla divide; the conveyor is
-    # the grid's
+    # blocks of 4k qubits or more take the ancilla divide; every grid node
+    # is a conveyor
     for n, k in [(64, 2), (256, 2), (1024, 8)]:
         _, plan = synth_alltoall(n, k)
         assert plan.recursion_tree
@@ -292,11 +292,12 @@ def _cx(c):
 @pytest.mark.parametrize("make", [lambda: synth_alltoall(256, 8),
                                   lambda: synth_alltoall(64, 2),
                                   lambda: synth_alltoall(1024, 8),
+                                  lambda: synth_alltoall(23, 3),
                                   lambda: synth_grid(8, 16, 4),
                                   lambda: synth_grid(2, 32, 1)],
                          ids=["alltoall-256-8", "alltoall-64-2",
-                              "alltoall-1024-8", "grid-8x16-4",
-                              "grid-2x32-1"])
+                              "alltoall-1024-8", "alltoall-23-3",
+                              "grid-8x16-4", "grid-2x32-1"])
 def test_plan_nodes_record_cx(make):
     # the circuit is its divide nodes, its count conversions and its tail
     # ladders laid end to end, so their CNOT counts and sizes must add up
@@ -315,14 +316,20 @@ def test_plan_nodes_record_cx(make):
         assert 0 < node.cx < node.size
         assert node.line().endswith(f"size={node.size} cx={node.cx}")
         assert node.line() in report
-    # on the complete graph: one u_uo at the root, one inverse(u_uo) on the
-    # count register of each tail
+    # on the complete graph: one u_uo at the (ancilla) root, and one
+    # inverse(u_uo) on the count register of each half of an ancilla
+    # divide that is no ancilla divide itself
     if plan.topology.topology_tag == "complete":
         conv = u_uo(range(plan.k))
+        onehot = [node for node in nodes if node.variant == "ancilla"]
+        assert onehot[0] is nodes[0]
+        halves = [r for node in onehot for r in (node.s2, node.s1)]
+        for node in onehot[1:]:
+            halves.remove(node.s2)
         assert [r.name for r in plan.conversions] == (
-            ["u_uo"] + ["inverse(u_uo)"] * len(plan.tail_units))
-        assert [r.qubits for r in plan.conversions[1:]] == [
-            unit[:plan.k] for unit in plan.tail_units]
+            ["u_uo"] + ["inverse(u_uo)"] * len(halves))
+        assert sorted(r.qubits for r in plan.conversions[1:]) == sorted(
+            halves)
         for r in plan.conversions:
             assert (r.depth, r.size, r.cx) == (
                 asap_layering(conv).depth, conv.size, _cx(conv))
@@ -333,16 +340,14 @@ def test_plan_nodes_record_cx(make):
 
 def _alltoall_every_ladder(n, k):
     """Oracle for synth_alltoall: the same depth-scored choice per block
-    size, with the ladder built and scored at every size. The choice is
-    between the templates the one-hot recursion can place, the ladder and
-    the one-hot ancilla divide; the path conveyor takes and leaves the
-    count in unary, so this assembly with it is no Dicke unitary."""
+    size, with the ladder built and scored at every size, and the path
+    conveyor at every size that can divide."""
     chosen = {}
 
     def choose(nn):
         if nn not in chosen:
             half = nn // 2
-            options = [(dicke_unitary_path(nn, k), 0, False)]
+            options = [(dicke_unitary_path(nn, k), 0, "ladder")]
             if half >= k:
                 spec = DivideSpec(n=nn, m=nn - half, k=k,
                                   left=tuple(range(half, half + k)),
@@ -351,7 +356,8 @@ def _alltoall_every_ladder(n, k):
                 below = max(choose(half)[0], choose(nn - half)[0])
                 if len(idle) >= 2 * k:
                     options.append((divide_unitary_ancilla(
-                        spec, idle, num_qubits=nn), below, True))
+                        spec, idle, num_qubits=nn), below, "ancilla"))
+                options.append((divide_unitary_path(spec), below, "path"))
             scores = [asap_layering(t).depth + below
                       for t, below, _ in options]
             best = scores.index(min(scores))
@@ -359,23 +365,24 @@ def _alltoall_every_ladder(n, k):
         return chosen[nn]
 
     c = Circuit(n)
-    # the count stays one-hot between levels: one u_uo before a root
-    # divide, and inverse(u_uo) before each tail ladder under one
-    if choose(n)[3]:
-        c.extend(u_uo(range(k)).gates)
 
-    def rec(base, nn):
-        _, template, _, divides = choose(nn)
+    # the ancilla divide takes the count one-hot, the ladder and the path
+    # conveyor in unary: u_uo or inverse(u_uo) converts it on the block's
+    # first k qubits where it arrives in the other form
+    def rec(base, nn, onehot):
+        _, template, _, variant = choose(nn)
         gates = template.gates
-        if not divides and nn < n:
+        if onehot and variant != "ancilla":
             gates = inverse(u_uo(range(k))).gates + gates
+        if not onehot and variant == "ancilla":
+            gates = u_uo(range(k)).gates + gates
         c.extend(remap_qubits(Circuit(nn, gates), range(base, base + nn),
                               n).gates)
-        if divides:
-            rec(base, nn // 2)
-            rec(base + nn // 2, nn - nn // 2)
+        if variant != "ladder":
+            rec(base, nn // 2, variant == "ancilla")
+            rec(base + nn // 2, nn - nn // 2, variant == "ancilla")
 
-    rec(0, n)
+    rec(0, n, False)
     return c
 
 
@@ -455,6 +462,28 @@ def test_alltoall_dropped_conversion_is_caught():
     no_tail = Circuit(n, c.gates[:at] + c.gates[at + conv:])
     assert _dicke_faults(no_root, n, k)
     assert _dicke_faults(no_tail, n, k)
+
+
+def test_alltoall_conveyor_divides_where_shallower():
+    # at k = 3 the conveyor (75 layers) and the upper half's ladder are
+    # shallower than the whole ladder on blocks of 10 and 11 qubits: 132
+    # against 137 layers and 148 against 153, which ASAP layering
+    # overlaps to 142
+    for n, depth in [(10, 132), (11, 142)]:
+        c, plan = synth_alltoall(n, 3)
+        assert [node.variant for node in plan.recursion_tree] == ["path"]
+        assert plan.conversions == []   # the count stays in unary
+        assert asap_layering(c).depth <= depth
+        assert _dicke_faults(c, n, 3) == []
+    # under an ancilla divide the conveyor gets inverse(u_uo), and the
+    # ladders under it none
+    c, plan = synth_alltoall(23, 3)
+    assert [(node.n_node, node.variant) for node in plan.recursion_tree] == [
+        (23, "ancilla"), (11, "path"), (12, "ancilla")]
+    assert [(r.name, r.qubits) for r in plan.conversions] == [
+        ("u_uo", (0, 1, 2)), ("inverse(u_uo)", (0, 1, 2)),
+        ("inverse(u_uo)", (11, 12, 13)), ("inverse(u_uo)", (17, 18, 19))]
+    assert _dicke_faults(c, 23, 3) == []
 
 
 def test_alltoall_large_k_delegates_to_ladder():

@@ -293,12 +293,8 @@ def test_divide_meeting_merges_into_swap(u, i, k, cx):
     _divide_givens(whole, cells, 1, u, i, k, w2)
     whole.swap(1, 2)
     c = Circuit(4)
-    rest = _divide_givens(c, cells, 1, u, i, k, w2, swap=True)
-    if rest is None:
-        c.swap(1, 2)
-    else:
-        for a, b in rest:
-            c.cx(a, b)
+    for a, b in _divide_givens(c, cells, 1, u, i, k, w2, swap=True):
+        c.cx(a, b)
     assert _cx_count(c) == cx
     assert all(abs(a - b) == 1 for g in c.gates if g.kind == "cx"
                for a, b in [g.qubits])
