@@ -12,9 +12,9 @@ ones occupying qubits 0..l-1:
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
   with the conveyor divide when the grid is tall enough (k >= n2/n1) and a
   left-to-right column-group sweep otherwise. The sweep's g groups balance
-  the chain of g conveyor steps against the last group's ladder:
-  g ~ sqrt(L_k n / D_k), with D_k the conveyor's depth and L_k the
-  ladder's layers per qubit, and the widths differ by at most one.
+  the chain of g conveyor steps against the last group's ladder, both
+  priced in closed form (``_conveyor_depth``, ``_ladder_slope``), and the
+  widths differ by at most one.
 * ``dicke_unitary_path`` (in :mod:`.unary`): the linear-depth ladder both of
   the above fall back to on small blocks.
 
@@ -274,6 +274,15 @@ def _ladder_slope(k: int) -> int:
     return (4, 11, 16)[min(k, 3) - 1]
 
 
+def _conveyor_depth(k: int) -> int:
+    """ASAP depth of divide_unitary_path at count width k, whatever its
+    (n, m). DivideSpec keeps m >= k and n - m >= k, so every meeting's
+    angle lies strictly between 0 and pi/2 and no rotation drops out: the
+    conveyor's gate list depends on (n, m) only through its angles, and
+    its depth on k alone."""
+    return (5, 34, 75, 131, 201, 279)[k - 1] if k <= 6 else 83 * k - 219
+
+
 def synth_alltoall(n: int, k: int) -> tuple:
     """Dicke unitary on unrestricted connectivity.
 
@@ -285,11 +294,10 @@ def synth_alltoall(n: int, k: int) -> tuple:
     ancilla-accelerated divide when its nn - 2k idle qubits hold the 2k
     ancilla divide_unitary_ancilla needs (nn >= 4k). A block of
     2k < nn < 4k takes the path conveyor divide_unitary_path when the
-    conveyor is shallower than the ladder it saves on the upper half,
-    L_k floor(nn/2) layers (L_k = _ladder_slope(k)): its halves, below 2k
-    qubits, take the ladder. The conveyor is built to be scored, so such a
-    block size may build one it does not place. Every other block takes
-    the ladder. Depth is O(log k log(n/k) + k).
+    conveyor, _conveyor_depth(k) layers, is shallower than the ladder it
+    saves on the upper half, _ladder_slope(k) floor(nn/2) layers: its
+    halves, below 2k qubits, take the ladder. Every other block takes the
+    ladder. Depth is O(log k log(n/k) + k).
 
     The ancilla divide takes and leaves the count one-hot; the conveyor
     and the ladder take it in unary. So u_uo runs once on qubits 0..k-1
@@ -318,12 +326,10 @@ def synth_alltoall(n: int, k: int) -> tuple:
                 idle = tuple(range(k, half)) + tuple(range(half + k, nn))
                 template = divide_unitary_ancilla(spec, idle, num_qubits=nn)
                 chosen[nn] = ("ancilla", template, *_stats(template))
-            elif nn > 2 * k:
+            elif nn > 2 * k and _conveyor_depth(k) < _ladder_slope(k) * half:
                 template = divide_unitary_path(spec)
-                stats = _stats(template)
-                if stats[0] < _ladder_slope(k) * half:
-                    chosen[nn] = ("path", template, *stats)
-            if nn not in chosen:
+                chosen[nn] = ("path", template, *_stats(template))
+            else:
                 chosen[nn] = ("ladder", dicke_unitary_path(nn, k))
         return chosen[nn]
 
@@ -447,16 +453,15 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
     Step i divides the count of columns [c_i, n2) between group i and the
     rest and routes the rest's share onto the next group's slab register;
     group i's ladder then runs beside the later steps. So the depth is
-    about g conveyors (D_k layers each; 5/34/75/131/445 at k = 1/2/3/4/8)
-    plus the last group's ladder, L_k layers per qubit (4/11/16 at
-    k = 1/2/>=3). Minimising g D_k + L_k n / g gives
-    g = round(sqrt(L_k n / D_k)), clamped to [1, n2 // max(k, 2w)] so each
-    group holds the slab register (w = ceil(k/n1) columns) and the route
-    fits. The columns split into g groups whose widths differ by at most
-    one, wider groups last. The last group is the widest and its ladder
-    sets the tail of the depth, so g then drops to the fewest groups no
-    wider than it: more groups would only lengthen the chain. D_k is read
-    off one 2k-qubit conveyor; a grid where only one group fits is one
+    about g conveyors (D_k = _conveyor_depth(k) layers each) plus the last
+    group's ladder, L_k = _ladder_slope(k) layers per qubit. Minimising
+    g D_k + L_k n / g gives g = round(sqrt(L_k n / D_k)), clamped to
+    [1, n2 // max(k, 2w)] so each group holds the slab register
+    (w = ceil(k/n1) columns) and the route fits. The columns split into g
+    groups whose widths differ by at most one, wider groups last. The last
+    group is the widest and its ladder sets the tail of the depth, so g
+    then drops to the fewest groups no wider than it: more groups would
+    only lengthen the chain. A grid where only one group fits is one
     ladder.
 
     Blocks of one shape differ only in their qubits, so each ladder length
@@ -521,10 +526,7 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         rec(0, n2, 1)
     else:
         # wide case: g column groups, sized by the rule in the docstring
-        conveyor = asap_layering(divide_unitary_path(DivideSpec(
-            n=2 * k, m=k, k=k, left=tuple(range(k, 2 * k)),
-            right=tuple(range(k))))).depth
-        g = round(math.sqrt(_ladder_slope(k) * n / conveyor))
+        g = round(math.sqrt(_ladder_slope(k) * n / _conveyor_depth(k)))
         g = max(1, min(g, n2 // max(k, 2 * w)))
         widest = -(-n2 // g)
         g = -(-n2 // widest)     # fewest groups no wider than widest
@@ -566,14 +568,10 @@ def prepare_dicke(topology: str, dims, k: int) -> Circuit:
 
 def _prepare_symmetric(topology: str, dims, k: int, amplitudes) -> tuple:
     """prepare_symmetric's circuit together with the synthesis plan."""
-    alpha = np.asarray(amplitudes, dtype=complex)
-    if not np.isfinite(alpha).all():
-        raise ValueError("non-finite amplitudes")
-    if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
-        raise ValueError("non-normalized amplitudes")
+    # refuses bad amplitudes before the synthesis runs
+    prep = unary_amplitude_prep(k, amplitudes)
     unitary, plan = _synthesize(topology, dims, k)
-    load = remap_qubits(unary_amplitude_prep(k, alpha), range(k),
-                        unitary.num_qubits)
+    load = remap_qubits(prep, range(k), unitary.num_qubits)
     return compose(load, unitary), plan
 
 

@@ -8,9 +8,10 @@ from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
                                 asap_layering, dumps, inverse, remap_qubits,
                                 validate_connectivity)
 from dickesynth.encoding import u_uo
-from dickesynth.synth import (SynthesisPlan, _pack_rows,
-                              divide_unitary_ancilla, prepare_dicke,
-                              prepare_symmetric, synth_alltoall, synth_grid)
+from dickesynth.synth import (SynthesisPlan, _conveyor_depth, _ladder_slope,
+                              _pack_rows, divide_unitary_ancilla,
+                              prepare_dicke, prepare_symmetric,
+                              synth_alltoall, synth_grid)
 from dickesynth.unary import (DivideSpec, dicke_unitary_path,
                               divide_unitary_path, hyper_weights)
 from dickesynth.verify import _evolve, dicke_reference, fidelity, simulate
@@ -464,6 +465,25 @@ def test_alltoall_dropped_conversion_is_caught():
     assert _dicke_faults(no_tail, n, k)
 
 
+@pytest.mark.parametrize("k", list(range(1, 13)) + [16, 32])
+def test_conveyor_depth_is_the_emitted_depth(k):
+    # the selection rules price the conveyor without building it
+    for nn in sorted({2 * k, 2 * k + 1, 4 * k - 1} if k <= 12 else {2 * k}):
+        spec = DivideSpec(n=nn, m=nn - nn // 2, k=k,
+                          left=tuple(range(k, 2 * k)), right=tuple(range(k)))
+        assert asap_layering(divide_unitary_path(spec)).depth == (
+            _conveyor_depth(k)), nn
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8, 16, 32])
+def test_ladder_slope_is_the_emitted_slope(k):
+    def depth(nn):
+        return asap_layering(dicke_unitary_path(nn, k)).depth
+
+    for nn in sorted({k + 1, 2 * k, 64}):
+        assert depth(nn + 1) - depth(nn) == _ladder_slope(k), nn
+
+
 def test_alltoall_conveyor_divides_where_shallower():
     # at k = 3 the conveyor (75 layers) and the upper half's ladder are
     # shallower than the whole ladder on blocks of 10 and 11 qubits: 132
@@ -495,10 +515,13 @@ def test_alltoall_large_k_delegates_to_ladder():
         assert fidelity(out, dicke_reference(8, ell)) > 1 - 1e-8
 
 
-@pytest.mark.parametrize("n,k", [(1024, 8), (512, 16)])
+# (24,8), (14,3) and (16,3) have block sizes 2k < nn < 4k that take the
+# ladder; (23,3) places a conveyor on its 11-qubit blocks
+@pytest.mark.parametrize("n,k", [(1024, 8), (512, 16), (24, 8), (14, 3),
+                                 (16, 3), (23, 3)])
 def test_alltoall_builds_only_placed_templates(monkeypatch, n, k):
     import dickesynth.synth as synth
-    ladders, divides = [], []
+    ladders, divides, conveyors = [], [], []
 
     def recorded(log, build):
         def wrapper(*args, **kwargs):
@@ -510,11 +533,15 @@ def test_alltoall_builds_only_placed_templates(monkeypatch, n, k):
                         recorded(ladders, dicke_unitary_path))
     monkeypatch.setattr(synth, "divide_unitary_ancilla",
                         recorded(divides, divide_unitary_ancilla))
+    monkeypatch.setattr(synth, "divide_unitary_path",
+                        recorded(conveyors, divide_unitary_path))
     _, plan = synth_alltoall(n, k)
-    # each ladder length built is placed as a tail, and built once
+    # each template built is placed, and built once per block size
     assert sorted(ladders) == sorted({len(u) for u in plan.tail_units})
-    assert sorted(spec.n for spec in divides) == sorted(
-        {node.n_node for node in plan.recursion_tree})
+    for built, variant in [(divides, "ancilla"), (conveyors, "path")]:
+        assert sorted(spec.n for spec in built) == sorted(
+            {node.n_node for node in plan.recursion_tree
+             if node.variant == variant})
 
 
 def test_alltoall_size_linear_in_nk():
@@ -665,6 +692,13 @@ def test_grid_builds_each_template_once_per_call(monkeypatch):
         c, plan = synth_grid(16, 16, 4)
         assert built == {"ladder": 1, "divide": 4, "route": 4}
         assert len(plan.tail_units) == 16 and len(plan.recursion_tree) == 15
+    # the wide sweep prices its groups without building a conveyor, so it
+    # builds one per divide shape it places
+    built.update(ladder=0, divide=0, route=0)
+    c, plan = synth_grid(4, 64, 2)
+    shapes = {(node.n_node, node.m_node) for node in plan.recursion_tree}
+    assert built == {"ladder": len({len(u) for u in plan.tail_units}),
+                     "divide": len(shapes), "route": len(shapes)}
 
 
 def test_path_topology_is_one_row_grid():
@@ -720,6 +754,21 @@ def test_prepare_symmetric_three_term():
     for w in range(3):
         amps = [out[idx] for idx in range(64) if bin(idx).count("1") == w]
         assert max(abs(a - amps[0]) for a in amps) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [[1.0], [1.0] + [0.0] * 33, [1.0] * 33,
+                                   [math.nan] + [0.0] * 32])
+def test_prepare_symmetric_refuses_before_synthesis(monkeypatch, alpha):
+    # k = 32 takes 33 amplitudes: a vector of the wrong length, unnormalized
+    # or non-finite is refused before the 1.77M-gate synthesis starts
+    import dickesynth.synth as synth
+
+    def unreachable(*args):
+        raise AssertionError("synthesis ran on bad amplitudes")
+
+    monkeypatch.setattr(synth, "_synthesize", unreachable)
+    with pytest.raises(ValueError):
+        prepare_symmetric("complete", 4096, 32, alpha)
 
 
 def test_prepare_symmetric_rejects_unnormalized():
