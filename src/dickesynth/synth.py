@@ -373,11 +373,17 @@ def _slab_serpentine(c0: int, width: int, n1: int) -> list:
     return out
 
 
-def _permute_on_path(c: Circuit, path: list, dest: list) -> None:
+def _permute_on_path(c: Circuit, path: list, dest: list, live: list) -> None:
     """Realize the permutation sending the content of path[i] to
-    path[dest[i]] with nearest-neighbor SWAPs: odd-even transposition sort
-    of the destination labels, at most len(path) rounds."""
-    dest = list(dest)
+    path[dest[i]] by nearest-neighbor transpositions: odd-even
+    transposition sort of the destination labels, at most len(path) rounds.
+
+    live[i] is False when path[i] is known to hold |0>; the flags travel
+    with the content. Two live cells trade places by a SWAP (3 CNOTs). A
+    live and a zero cell take a 2-CNOT move, CX(live, zero) then
+    CX(zero, live), which copies the content into the zero cell and then
+    clears the one it left. Two zero cells trade places with no gate."""
+    dest, live = list(dest), list(live)
     length = len(dest)
     if sorted(dest) != list(range(length)):
         raise ValueError("dest is not a permutation")
@@ -386,14 +392,24 @@ def _permute_on_path(c: Circuit, path: list, dest: list) -> None:
             break
         for i in range(rnd % 2, length - 1, 2):
             if dest[i] > dest[i + 1]:
-                c.swap(path[i], path[i + 1])
+                a, b = path[i], path[i + 1]
+                if live[i] and live[i + 1]:
+                    c.swap(a, b)
+                elif live[i] or live[i + 1]:
+                    if live[i + 1]:
+                        a, b = b, a
+                    c.cx(a, b)
+                    c.cx(b, a)
                 dest[i], dest[i + 1] = dest[i + 1], dest[i]
+                live[i], live[i + 1] = live[i + 1], live[i]
 
 
 def _embed_moves(path: list, moves: dict) -> list:
     """Destination labels for _permute_on_path from a sparse position map
     {src_pos: dst_pos}; unconstrained positions fill the remaining slots in
-    order (they carry |0> so their placement is immaterial)."""
+    order. So those below every constrained source and destination keep
+    their place (in _route_block, the group's count); the rest carry |0>,
+    so their placement is immaterial."""
     length = len(path)
     dest = [-1] * length
     used = set(moves.values())
@@ -414,30 +430,40 @@ def _route_block(c: Circuit, cdst: int, w: int, k: int, n1: int) -> None:
 
     Two phases: a local rearrangement inside the double slab placing the
     share on the second slab's own serpentine prefix, then a horizontal
-    per-row translation of that slab (rows move in parallel)."""
+    per-row translation of that slab (rows move in parallel).
+
+    On the unary inputs of the Dicke-unitary contract a region holds ones
+    only on its count register, and the divide before the route writes
+    only qubits 0..2k-1. So every other cell is |0> and each phase passes
+    _permute_on_path the cells that may be live: a move into a zero cell
+    takes 2 CNOTs, and cells that are both zero trade places with none."""
     strip = range(2 * w * n1)
     slab2 = _slab_serpentine(w, w, n1)
     moves = {k + t: slab2[t] for t in range(k)}
     if any(s != d for s, d in moves.items()):
         if 2 * w * n1 <= 6 * k:
-            _permute_on_path(c, strip, _embed_moves(strip, moves))
+            _permute_on_path(c, strip, _embed_moves(strip, moves),
+                             [i < 2 * k for i in strip])
         else:
             # thin slab (w == 1, n1 > 2k): share sits in column 0 rows
-            # k..2k-1; one horizontal step per row, then a vertical
-            # rotation confined to the top 2k cells of column 1.
+            # k..2k-1; one horizontal move per row into the empty column
+            # 1, then a vertical rotation confined to its top 2k cells.
             for r in range(k, 2 * k):
-                c.swap(r, grid_index(r, 1, n1))
+                right = grid_index(r, 1, n1)
+                c.cx(r, right)
+                c.cx(right, r)
             col = [grid_index(r, 1, n1) for r in range(2 * k)]
             dest = [(i + k) % (2 * k) for i in range(2 * k)]
-            _permute_on_path(c, col, dest)
+            _permute_on_path(c, col, dest, [i >= k for i in range(2 * k)])
     delta = cdst - w
     if delta > 0:
         # shift the whole slab delta columns right, zeros backfilling left
+        share = set(slab2[:k])
         span = delta + w
         for r in range(n1):
             row = [grid_index(r, w + t, n1) for t in range(span)]
             dest = [t + delta if t < w else t - w for t in range(span)]
-            _permute_on_path(c, row, dest)
+            _permute_on_path(c, row, dest, [q in share for q in row])
 
 
 def synth_grid(n1: int, n2: int, k: int) -> tuple:

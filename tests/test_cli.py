@@ -5,7 +5,7 @@ import pytest
 
 from dickesynth import cli as cli_module
 from dickesynth import synth as synth_module
-from dickesynth.circuit import ConnectivityGraph, loads
+from dickesynth.circuit import ConnectivityGraph, loads, validate_connectivity
 from dickesynth.cli import main
 from dickesynth.lightcone import audit_lower_bound
 from dickesynth.verify import dicke_reference, fidelity, simulate
@@ -309,14 +309,18 @@ def test_lightcone_text_is_the_audit_on_own_topology(tmp_path, capsys):
 
 def test_lightcone_fails_on_grid_of_other_shape(tmp_path, capsys):
     # a 4x4-grid circuit read on the 2x8 grid: the light-cone floor
-    # assumes every CNOT is on an edge, so off-edge CNOTs must fail
-    out = synth_file(tmp_path, ["grid", "4x4"], 16, 2)
+    # assumes every CNOT is on an edge, so off-edge CNOTs must fail; the
+    # fixture must have some, or the audit passes and proves nothing
+    out = synth_file(tmp_path, ["grid", "4x4"], 16, 4)
     capsys.readouterr()
+    off_edge = validate_connectivity(loads(out.read_text()),
+                                     ConnectivityGraph.grid(2, 8))
+    assert len(off_edge) == 4
     assert run(["lightcone", "--circuit", str(out), "--topology", "grid",
                 "2x8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "audit FAIL: 6 CNOT(s) off the topology's edges\n"
+    assert captured.err == "audit FAIL: 4 CNOT(s) off the topology's edges\n"
 
 
 def test_lightcone_fails_on_off_edge_cnot_of_path(tmp_path, capsys):

@@ -233,9 +233,9 @@ AUDIT_DIGESTS = [
     (lambda: Circuit(1), ConnectivityGraph.complete(1),
      "80453a3e298dafc95c46c065516cd9cb47abe01a43f4a0c3ea58da4336064f58"),
     (lambda: prepare_dicke("grid", (8, 8), 4), ConnectivityGraph.grid(8, 8),
-     "a7121fc6645a7e294ac21add90512429105331400a39092d338b068c84a1cfdd"),
+     "a1188bdce70b125153f5c18c984f237c98a60e2b0ebed06824d475e748f6a454"),
     (lambda: prepare_dicke("grid", (2, 16), 1), ConnectivityGraph.grid(2, 16),
-     "42feeeb3687336b44443bf30c0950eb500422f4a330908c02ce5452da22448dd"),
+     "1aaee71e9303bf0ad56b0ef86f65ead0dd0c6666cca513046f06dfd0d8b2c627"),
     (lambda: prepare_dicke("path", 16, 2), ConnectivityGraph.path(16),
      "8c4d934733ce4c9a8a5542bdcc0c2ecbe2bebf20379eb773bb845ce3a39a9fd3"),
     (lambda: _hadamards(16), ConnectivityGraph.complete(16),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
                                 validate_connectivity)
 from dickesynth.encoding import u_uo
 from dickesynth.synth import (SynthesisPlan, _conveyor_depth, _ladder_slope,
-                              _pack_rows, divide_unitary_ancilla,
+                              _pack_rows, _permute_on_path,
+                              divide_unitary_ancilla,
                               prepare_dicke, prepare_symmetric,
                               synth_alltoall, synth_grid)
 from dickesynth.unary import (DivideSpec, dicke_unitary_path,
@@ -582,6 +584,58 @@ def test_grid_case1_fidelity_and_connectivity(n1, n2, k):
         assert fidelity(out, dicke_reference(n, ell)) > 1 - 1e-8
 
 
+# tall grids past the 20-qubit dense cap: (8,8,1) and (8,8,2) take
+# _route_block's thin-slab branch, (7,9,3) and (5,12,3) the odd-even sort
+# of the double slab
+@pytest.mark.parametrize("n1,n2,k", [(8, 8, 1), (8, 8, 2), (7, 9, 3),
+                                     (5, 12, 3)])
+def test_grid_tall_exact_above_simulator_cap(n1, n2, k):
+    c, plan = synth_grid(n1, n2, k)
+    assert plan.recursion_tree
+    assert validate_connectivity(c, ConnectivityGraph.grid(n1, n2)) == []
+    assert _dicke_faults(c, n1 * n2, k) == []
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_permute_on_path_moves_live_bits(length):
+    # the routing emits CNOTs only, so run it on bit slices: bit a of
+    # cell i's int is that cell's value under assignment a. For every live
+    # mask and every assignment of the live cells, live content must land
+    # on path[dest[i]] and every other cell must read 0
+    rng = random.Random(length)
+    every = [sum(1 << a for a in range(1 << length) if a >> i & 1)
+             for i in range(length)]
+    for _ in range(3):
+        dest = rng.sample(range(length), length)
+        path = rng.sample(range(2 * length), length)
+        pos = {q: i for i, q in enumerate(path)}
+        for mask in range(1 << length):
+            live = [bool(mask >> i & 1) for i in range(length)]
+            c = Circuit(2 * length)
+            _permute_on_path(c, path, dest, live)
+            if mask == 0:
+                assert c.gates == []
+            bits = {q: every[i] if live[i] else 0 for i, q in enumerate(path)}
+            for g in c.gates:
+                a, b = g.qubits
+                assert g.kind == "cx" and abs(pos[a] - pos[b]) == 1
+                bits[b] ^= bits[a]
+            assert [bits[path[dest[i]]] for i in range(length)] == [
+                every[i] if live[i] else 0 for i in range(length)]
+
+
+@pytest.mark.parametrize("live,pairs", [
+    ([False, False], []), ([True, False], [(5, 7), (7, 5)]),
+    ([False, True], [(7, 5), (5, 7)]),
+    ([True, True], [(5, 7), (7, 5), (5, 7)])])
+def test_permute_on_path_transposition_gates(live, pairs):
+    # SWAP between live cells, a 2-CNOT move into a zero cell, nothing
+    # between zero cells
+    c = Circuit(8)
+    _permute_on_path(c, [5, 7], [1, 0], live)
+    assert [g.qubits for g in c.gates] == pairs
+
+
 def test_grid_case2_column_sweep():
     # k < n2/n1 exercises the serialized column sweep
     c, _ = synth_grid(2, 8, 1)
@@ -658,10 +712,10 @@ def test_grid_wide_nowhere_deeper(dims):
 
 # least depth over every even split of the columns into g groups, found by
 # building each g; the rule builds one and must land within 10 % of it
-WIDE_DEPTH_OPTIMUM = {(2, 16, 1): 86, (2, 32, 1): 154, (2, 64, 1): 278,
-                      (2, 128, 1): 509, (4, 32, 2): 596, (4, 64, 2): 900,
-                      (2, 30, 1): 145, (4, 128, 2): 1421, (2, 256, 1): 949,
-                      (8, 256, 4): 5584, (8, 128, 8): 5784}
+WIDE_DEPTH_OPTIMUM = {(2, 16, 1): 71, (2, 32, 1): 127, (2, 64, 1): 215,
+                      (2, 128, 1): 385, (4, 32, 2): 522, (4, 64, 2): 766,
+                      (2, 30, 1): 117, (4, 128, 2): 1194, (2, 256, 1): 695,
+                      (8, 256, 4): 4855, (8, 128, 8): 5375}
 
 
 @pytest.mark.parametrize("dims", list(WIDE_DEPTH_OPTIMUM),
@@ -803,25 +857,25 @@ DUMPS_SHA256 = {
         "ac0aa6621ccf4f8242583d7075fb23cc36b36867b93224732ba1707f6b6a083f"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
-        "c9e4667ed7ee4d0723ec19d1ffe3066a9d2c7442c33547cd9d09c2909d63c3fe"),
+        "b8edaf17a1d44823202c830a47570ff2c6ee0c4bc3a12467186e788b354dd2f2"),
     "synth_grid(8,16,4)": (
         lambda: synth_grid(8, 16, 4)[0],
-        "79437a21e5019a587ef473b6c126f77e4b3f1e1ffa15a6f8eef642ec30138c0f"),
+        "4c7d6aba0bad8102045265134a01bc82d938b487702a84f96a77bfd50e22aee6"),
     "synth_grid(2,32,1)": (
         lambda: synth_grid(2, 32, 1)[0],
-        "d9fdd4887289f48a8bf31dea2508e165f542993d3a24cb9cfa33410988ec4781"),
+        "911db73215af3e5a16d0b9e4b0851291a57c3d504259b9e24d245534399af2d0"),
     "synth_grid(16,16,8)": (
         lambda: synth_grid(16, 16, 8)[0],
-        "68752763b0ea1a456f0170120264b5d76753a59d3f18c28e91f206f9ef845b25"),
+        "01de7775811ab6936a3250d18b9b5cd388b782102222ba9014080a14e6d6dae3"),
     "synth_grid(16,16,2)": (
         lambda: synth_grid(16, 16, 2)[0],
-        "a21055cde4d85a7c6d5cdcd8431e4f270f99b9969b373bdd48a80866733ce51e"),
+        "17c96be518ef41186c847e2a07a5e37bc970dbd070576b48976330af39dc28e0"),
     "synth_grid(3,6,2)": (
         lambda: synth_grid(3, 6, 2)[0],
-        "091aaf0d82478009a61d2df2509ab1153aafc4da7bb8b65a35e9b2e8c26c862d"),
+        "3aa239de8c4b44f763c90464ccaeef33a24e1cba664dd04a83376e825399bd47"),
     "synth_grid(4,64,2)": (
         lambda: synth_grid(4, 64, 2)[0],
-        "e9f412e23c83b6dbfbeb9618341193e69fd3d8fd54749604d42218536d91a732"),
+        "1619f33d292bda7634670aa2f7164405ed3729cab948f6d41b4e4f3bfc6c7860"),
     "dicke_unitary_path(64,4)": (
         lambda: dicke_unitary_path(64, 4),
         "ec3d67fd2da5b2148844567a5808cf680ea901b02543ab3a52b5c098dcd04835"),
@@ -830,7 +884,7 @@ DUMPS_SHA256 = {
         "67085949b493f029108354b2a9b103460d899668d6f545cf63e5b6bc24e8eeb2"),
     "prepare_dicke(grid,(2,4),2)": (
         lambda: prepare_dicke("grid", (2, 4), 2),
-        "8794fa9a97ae8d574f11fd79fa6dba288c2cef7828d74a2f1201b26b741ec79f"),
+        "0c08cfdee67392766e4424dc0897332cf16bf90182dbff49fd68ecb154bf5b70"),
 }
 
 
@@ -864,13 +918,13 @@ def test_unary_divide_byte_identical(case):
 # those of its divide-and-route template, and the .plan file shows them
 PLAN_REPORT_SHA256 = {
     (16, 16, 8):
-        "ab34f651a4adebe4ef3efcdf6555cf15396dcee58c2b2e52b93dc7431cf3e958",
+        "5ef6c9b8c19d0b9f18058eb1b308250a002b4e83f1befa125ef764a39730ce26",
     (16, 16, 2):
-        "c9a8928efd257f5255cec8f64d1bacf6b374336f87113c9f755e63d9345fd5ca",
+        "8986b00369a2bef904d4ad863d3d7d2a08e991f7a9338d63205d4e7060790943",
     (4, 64, 2):
-        "c677f718663f30b6d763dcff96f8185ec57c7964680cfea05138e5e0774093e2",
+        "f858c1144be085196e9b06661dadc68b661b2a63f45e642f628745707d859026",
     (3, 6, 2):
-        "a2c6074d034f5ea3e7bf0b8cac9d38f61fdbed9347d5a2574ddb322d90f04f19",
+        "2f2a72f6228b9fdbaeaee1559095f8e28adb5df0ab45846c121bab88d47fe5d7",
 }
 
 
