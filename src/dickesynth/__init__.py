@@ -17,6 +17,7 @@ from .circuit import (
     dumps,
     inverse,
     loads,
+    phase_gate,
     remap_qubits,
     ry_gate,
     u_gate,

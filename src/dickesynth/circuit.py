@@ -1,28 +1,39 @@
 """Gate-level intermediate representation.
 
-Circuits are flat ordered lists of gates over integer qubit indices
+A circuit is stored as four parallel integer columns over qubit indices
 (little-endian: qubit 0 is the least significant bit of a basis index).
-Single-qubit gates are kept symbolic as (theta, phi, lam, gamma) parameter
-quadruples with matrix
+Gate i is op[i] (0 for a single-qubit gate, 1 for a CNOT), q0[i] (the
+single-qubit gate's target, or the CNOT's control), q1[i] (the CNOT's
+target; -1 otherwise) and row[i], an index into the circuit's table of
+distinct single-qubit parameter rows (-1 for a CNOT). Single-qubit gates
+are kept symbolic as (theta, phi, lam, gamma) rows with matrix
 
     e^{i gamma} * [[cos(theta/2),              -e^{i lam} sin(theta/2)],
                    [e^{i phi} sin(theta/2),  e^{i(phi+lam)} cos(theta/2)]]
 
 so that inverses are exact at the parameter level; matrices are only
-materialized by the verifier.
+materialized by the verifier, once per row. Relabelling a template onto a
+block is one gather of its qubit columns, and text I/O, layering and the
+audits read the columns. A Gate tuple is built only when a caller reads
+Circuit.gates.
 """
 
 from __future__ import annotations
 
+import array
 import cmath
+import itertools
 import math
+import struct
 from collections import namedtuple
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Gate",
+    "GateView",
     "Circuit",
     "ConnectivityGraph",
     "DepthReport",
@@ -40,6 +51,9 @@ __all__ = [
     "dumps",
     "loads",
 ]
+
+_U, _CX = 0, 1                       # op codes
+_row_bits = struct.Struct("4d").pack  # a parameter row's identity
 
 
 class Gate(namedtuple("GateFields", "kind qubits params")):
@@ -90,9 +104,10 @@ def phase_gate(target: int, delta: float) -> Gate:
     return u_gate(target, 0.0, 0.0, delta, 0.0)
 
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate."""
-    theta, phi, lam, gamma = g.params
+def gate_matrix(g) -> np.ndarray:
+    """2x2 matrix of a single-qubit gate, given as a Gate or as its
+    (theta, phi, lam, gamma) row."""
+    theta, phi, lam, gamma = g.params if isinstance(g, Gate) else g
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     # two phases, not e^{i(phi+lam)}: phi + lam can overflow to inf
     e_phi, e_lam = cmath.exp(1j * phi), cmath.exp(1j * lam)
@@ -101,55 +116,245 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return cmath.exp(1j * gamma) * m
 
 
-def _inverse_gate(g: Gate) -> Gate:
-    if g.kind == "cx":
-        return g
-    theta, phi, lam, gamma = g.params
-    # U(theta,phi,lam,gamma)^dagger = U(-theta, -lam, -phi, -gamma)
-    return Gate("u", g.qubits, (-theta, -lam, -phi, -gamma))
+class _ParamTable:
+    """Append-only table of the distinct (theta, phi, lam, gamma) rows a
+    circuit's single-qubit gates point into. Rows are told apart by their
+    bits, never by ==, which would merge 0.0 with -0.0 and write one sign
+    for both. Circuits may share a table: rows are only ever appended, so
+    a row index never changes its meaning."""
+
+    __slots__ = ("rows", "_index", "_merged")
+
+    def __init__(self, rows=()):
+        self.rows: list = []
+        self._index: dict = {}
+        self._merged: dict = {}
+        for p in rows:
+            self.add(p)
+
+    def add(self, p: tuple) -> int:
+        key = _row_bits(*p)
+        r = self._index.get(key)
+        if r is None:
+            r = self._index[key] = len(self.rows)
+            self.rows.append(p)
+        return r
+
+    def merge(self, other: "_ParamTable") -> np.ndarray:
+        """Map other's row indices to this table's, adding the rows it
+        lacks, as an array whose last entry maps -1 (a CNOT) to -1.
+        Remembered per table, so placing one template on many blocks
+        merges its rows once."""
+        # the entry holds other, so its id stays its own
+        memo = self._merged.setdefault(id(other), [other, [], None])
+        _, mapped, rows = memo
+        if rows is None or len(mapped) < len(other.rows):
+            mapped.extend(map(self.add, other.rows[len(mapped):]))
+            rows = memo[2] = np.array(mapped + [-1], dtype=np.int64)
+        return rows
 
 
-@dataclass
 class Circuit:
-    """Ordered gate list over num_qubits qubits."""
+    """Ordered gates over num_qubits qubits, stored as columns (see the
+    module docstring). Emitters append to a list buffer, so building a
+    small circuit makes no per-gate numpy call; columns() joins the buffer
+    and any placed blocks into one array when a reader asks for it.
 
-    num_qubits: int
-    gates: list = field(default_factory=list)
+    Circuit(n, gates) takes an iterable of Gate and checks every qubit
+    against [0, n) at once."""
 
-    def append(self, gate: Gate) -> None:
-        for q in gate.qubits:
-            if not (0 <= q < self.num_qubits):
-                raise ValueError(f"gate index {q} out of range")
-        self.gates.append(gate)
+    __slots__ = ("num_qubits", "_params", "_chunks", "_buf")
 
-    def extend(self, gates) -> None:
+    def __init__(self, num_qubits: int, gates=()):
+        self.num_qubits = num_qubits
+        self._params = _ParamTable()
+        self._chunks: list = []   # (4, m) int64 column blocks, read-only
+        self._buf: list = []      # op, q0, q1, row of each gate emitted since
+        buf, add = self._buf, self._params.add
         for g in gates:
-            self.append(g)
+            if g.kind == "cx":
+                buf.extend((_CX, *g.qubits, -1))
+            else:
+                buf.extend((_U, g.qubits[0], -1,
+                            add(tuple(map(float, g.params)))))
+        if buf:
+            self._check_range(self.columns())
+
+    @classmethod
+    def _from_columns(cls, num_qubits: int, cols: np.ndarray,
+                      params: _ParamTable) -> "Circuit":
+        c = cls(num_qubits)
+        c._params = params
+        c._chunks = [cols]
+        return c
+
+    def _check_range(self, cols: np.ndarray) -> None:
+        n = self.num_qubits
+        op, q0, q1 = cols[0], cols[1], cols[2]
+        out0 = (q0 < 0) | (q0 >= n)
+        bad = np.flatnonzero(out0 | ((op == _CX) & ((q1 < 0) | (q1 >= n))))
+        if len(bad):
+            i = bad[0]
+            q = q0[i] if out0[i] else q1[i]
+            raise ValueError(f"gate index {int(q)} out of range")
+
+    def _flush(self) -> None:
+        if self._buf:
+            self._chunks.append(
+                np.array(self._buf, dtype=np.int64).reshape(-1, 4).T.copy())
+            self._buf = []
+
+    def columns(self) -> np.ndarray:
+        """The read-only (4, size) int64 array of the op, q0, q1 and row
+        columns."""
+        self._flush()
+        if len(self._chunks) != 1:
+            self._chunks = [np.concatenate(self._chunks, axis=1)
+                            if self._chunks
+                            else np.empty((4, 0), dtype=np.int64)]
+        cols = self._chunks[0]
+        cols.flags.writeable = False
+        return cols
+
+    @property
+    def param_rows(self) -> tuple:
+        """The distinct (theta, phi, lam, gamma) rows the row column
+        indexes."""
+        return tuple(self._params.rows)
+
+    @property
+    def gates(self) -> "GateView":
+        return GateView(self)
 
     @property
     def size(self) -> int:
-        return len(self.gates)
+        return sum(ch.shape[1] for ch in self._chunks) + len(self._buf) // 4
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.num_qubits == other.num_qubits
+                and self.gates == other.gates)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Circuit({self.num_qubits}, size={self.size})"
+
+    def append(self, gate: Gate) -> None:
+        if gate.kind == "cx":
+            self.cx(*gate.qubits)
+        else:
+            self.u(*gate.qubits, *gate.params)
+
+    def extend(self, gates) -> None:
+        """Append a circuit's gates (given as the circuit or its gates
+        view: the columns are copied, not the gates) or any iterable of
+        Gate."""
+        if isinstance(gates, GateView):
+            gates = gates._circuit
+        if not isinstance(gates, Circuit):
+            gates = Circuit(self.num_qubits, gates)
+        cols = gates.columns()
+        if gates.num_qubits > self.num_qubits:
+            self._check_range(cols)
+        rows = self._params.merge(gates._params)
+        cols = np.concatenate([cols[:3], rows[cols[3:]]])
+        self._flush()
+        self._chunks.append(cols)
 
     def u(self, target, theta, phi=0.0, lam=0.0, gamma=0.0):
-        self.append(u_gate(target, theta, phi, lam, gamma))
+        if not 0 <= target < self.num_qubits:
+            raise ValueError(f"gate index {target} out of range")
+        self._buf.extend((_U, target, -1, self._params.add(
+            (float(theta), float(phi), float(lam), float(gamma)))))
 
     def x(self, target):
-        self.append(x_gate(target))
+        self.u(target, math.pi, 0.0, math.pi, 0.0)
 
     def ry(self, target, theta):
-        self.append(ry_gate(target, theta))
+        self.u(target, theta)
 
     def phase(self, target, delta):
-        self.append(phase_gate(target, delta))
+        self.u(target, 0.0, 0.0, delta)
 
     def cx(self, control, target):
-        self.append(cx_gate(control, target))
+        if control == target:
+            raise ValueError("cnot control equals target")
+        for q in (control, target):
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"gate index {q} out of range")
+        self._buf.extend((_CX, control, target, -1))
 
     def swap(self, a, b):
         # SWAP = 3 CNOTs
         self.cx(a, b)
         self.cx(b, a)
         self.cx(a, b)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted. (np.unique would do,
+    but its first call in a process imports numpy.ma.)"""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
+
+
+_BLOCK = 4096   # gates whose columns are converted to Python ints at a time
+
+
+def _gates(cols: np.ndarray, rows: list):
+    for start in range(0, cols.shape[1], _BLOCK):
+        block = cols[:, start:start + _BLOCK].tolist()
+        for op, a, b, r in zip(*block):
+            yield Gate("cx", (a, b)) if op else Gate("u", (a,), rows[r])
+
+
+class GateView(Sequence):
+    """Read-only sequence of a circuit's gates as Gate tuples, each built
+    as it is read. Two views compare column by column (parameters by
+    value, as Gate tuples do); a view also equals a list or tuple of the
+    same Gates. Slicing and + give lists."""
+
+    __slots__ = ("_circuit",)
+
+    def __init__(self, circuit: Circuit):
+        self._circuit = circuit
+
+    def __len__(self) -> int:
+        return self._circuit.size
+
+    def __getitem__(self, i):
+        cols, rows = self._circuit.columns(), self._circuit._params.rows
+        if isinstance(i, slice):
+            return list(_gates(cols[:, i], rows))
+        return next(_gates(cols[:, [i]], rows))
+
+    def __iter__(self):
+        return _gates(self._circuit.columns(), self._circuit._params.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, GateView):
+            a, b = self._circuit, other._circuit
+            ca, cb = a.columns(), b.columns()
+            if ca.shape != cb.shape or not np.array_equal(ca[:3], cb[:3]):
+                return False
+            u = ca[0] == _U
+            pa = np.array(a._params.rows, dtype=float).reshape(-1, 4)
+            pb = np.array(b._params.rows, dtype=float).reshape(-1, 4)
+            return bool(np.array_equal(pa[ca[3, u]], pb[cb[3, u]]))
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(
+                g == h for g, h in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass(frozen=True)
@@ -211,83 +416,111 @@ def grid_index(row: int, col: int, n1: int) -> int:
     return col * n1 + (n1 - 1 - row)
 
 
-@dataclass
+@dataclass(eq=False)
 class DepthReport:
+    """Greedy earliest-slot layering of a circuit: levels[i] is the layer
+    of gate i."""
+
     depth: int
     size: int
-    layers: list
+    levels: np.ndarray
+
+    @property
+    def layers(self) -> list:
+        """layers[l] lists, in gate order, the indices of the gates in
+        layer l."""
+        layers: list = [[] for _ in range(self.depth)]
+        for idx, level in enumerate(self.levels.tolist()):
+            layers[level].append(idx)
+        return layers
 
 
 def asap_layering(c: Circuit) -> DepthReport:
-    """Greedy earliest-slot layering: each gate goes in the first layer after
-    every earlier gate sharing one of its qubits. O(size) via per-qubit
-    frontier levels."""
+    """Greedy earliest-slot layering: each gate goes in the first layer
+    after every earlier gate sharing one of its qubits. O(size) via
+    per-qubit frontier levels, read from the qubit columns a block at a
+    time."""
+    cols = c.columns()
     frontier = [0] * c.num_qubits
-    layers: list = []
-    for idx, g in enumerate(c.gates):
-        if g.kind == "cx":
-            a, b = g.qubits
+    levels = array.array("q")
+    put = levels.append
+    for start in range(0, cols.shape[1], _BLOCK):
+        block = cols[1:3, start:start + _BLOCK].tolist()
+        for a, b in zip(*block):
             level = frontier[a]
-            if frontier[b] > level:
-                level = frontier[b]
-            frontier[a] = frontier[b] = level + 1
-        else:
-            q, = g.qubits
-            level = frontier[q]
-            frontier[q] = level + 1
-        if level == len(layers):
-            layers.append([idx])
-        else:
-            layers[level].append(idx)
-    return DepthReport(depth=len(layers), size=len(c.gates), layers=layers)
+            if b >= 0:
+                if frontier[b] > level:
+                    level = frontier[b]
+                frontier[b] = level + 1
+            frontier[a] = level + 1
+            put(level)
+    return DepthReport(depth=max(frontier, default=0), size=len(levels),
+                       levels=np.frombuffer(levels, dtype=np.int64))
 
 
 def validate_connectivity(c: Circuit, g: ConnectivityGraph) -> list:
-    """Every CNOT whose endpoints are not an edge of g, as (gate_index, gate)."""
+    """Every CNOT whose endpoints are not an edge of g, as (gate_index,
+    gate): has_edge's closed form evaluated on the CNOT columns at once."""
     if c.num_qubits != g.num_vertices:
         raise ValueError("qubit count mismatch")
-    out = []
-    for idx, gate in enumerate(c.gates):
-        if gate.kind == "cx" and not g.has_edge(*gate.qubits):
-            out.append((idx, gate))
-    return out
+    if g.rows is None:
+        # a circuit's CNOTs join two distinct qubits in range: all edges
+        return []
+    cols = c.columns()
+    cx = np.flatnonzero(cols[0] == _CX)
+    a = np.minimum(cols[1, cx], cols[2, cx])
+    b = np.maximum(cols[1, cx], cols[2, cx])
+    n1 = g.rows
+    edge = (b == a + 1) | (a + b == 2 * (a // n1 + 1) * n1 - 1)
+    gates = c.gates
+    return [(i, gates[i]) for i in cx[~edge].tolist()]
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
     if a.num_qubits != b.num_qubits:
         raise ValueError("incompatible qubit counts")
-    return Circuit(a.num_qubits, [*a.gates, *b.gates])
+    out = Circuit(a.num_qubits)
+    out.extend(a)
+    out.extend(b)
+    return out
 
 
 def inverse(c: Circuit) -> Circuit:
-    return Circuit(c.num_qubits, [_inverse_gate(g) for g in reversed(c.gates)])
+    # U(theta,phi,lam,gamma)^dagger = U(-theta, -lam, -phi, -gamma): a
+    # bijection on rows, so each row keeps its index
+    params = _ParamTable((-theta, -lam, -phi, -gamma)
+                         for theta, phi, lam, gamma in c._params.rows)
+    return Circuit._from_columns(c.num_qubits, c.columns()[:, ::-1].copy(),
+                                 params)
 
 
 def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
     """Relabel qubit q of c as perm[q]. perm is any indexable map (dict,
     list or range); it is checked once to map every qubit of c, injectively,
-    into [0, num_qubits), so the per-gate work is only the lookups."""
-    pairs = list(perm.items() if isinstance(perm, dict) else enumerate(perm))
-    images = [p for _, p in pairs]
-    if len(set(images)) != len(images):
-        raise ValueError("qubit map is not injective")
-    nq = num_qubits if num_qubits is not None else c.num_qubits
-    if images and not (0 <= min(images) and max(images) < nq):
-        raise ValueError("qubit map image out of range")
-    if not set(range(c.num_qubits)) <= {q for q, _ in pairs}:
-        raise ValueError("qubit map leaves a qubit of the circuit unmapped")
-    if pairs == [(q, q) for q in range(c.num_qubits)]:
-        gates = list(c.gates)  # identity: gates are immutable, share them
+    into [0, num_qubits), so the relabelling is one gather of the qubit
+    columns. The result shares c's parameter table."""
+    n = c.num_qubits
+    if isinstance(perm, dict):
+        image_of = [perm.get(q, -1) for q in range(n)]
+        perm = list(perm.values())
     else:
-        # The map was checked above to be injective, in range and total, so
-        # a relabelled gate keeps its kind, its parameter count and
-        # control != target: every check Gate.__new__ makes still holds,
-        # and the tuple is built without re-running them.
-        new = tuple.__new__
-        gates = [new(Gate, (kind, (perm[qs[0]],) if len(qs) == 1
-                            else (perm[qs[0]], perm[qs[1]]), params))
-                 for kind, qs, params in c.gates]
-    return Circuit(nq, gates)
+        image_of = perm[:n]
+    ranked = np.sort(np.asarray(perm, dtype=np.int64).reshape(-1))
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ValueError("qubit map is not injective")
+    nq = num_qubits if num_qubits is not None else n
+    if len(ranked) and not (0 <= ranked[0] and ranked[-1] < nq):
+        raise ValueError("qubit map image out of range")
+    # the images are in range now, so -1 marks a qubit without one; the
+    # last entry maps the -1 of a single-qubit gate's q1 to itself
+    table = np.append(np.asarray(image_of, dtype=np.int64), -1)
+    if len(table) <= n or (table[:-1] < 0).any():
+        raise ValueError("qubit map leaves a qubit of the circuit unmapped")
+    cols = c.columns()
+    out = np.empty_like(cols)
+    out[0], out[3] = cols[0], cols[3]
+    np.take(table, cols[1:3], out=out[1:3])
+    return Circuit._from_columns(nq, out, c._params)
 
 
 # --- text format -----------------------------------------------------------
@@ -298,59 +531,86 @@ def remap_qubits(c: Circuit, perm, num_qubits: int | None = None) -> Circuit:
 
 
 def dumps(c: Circuit) -> str:
-    """The text format of c. A circuit placed from block templates holds
-    few distinct U parameter tuples, so each tuple's text is formatted once
-    per call. The memo is keyed on the tuple's id, not its value: a value
-    key would merge 0.0 with -0.0 (they compare equal) and write one sign
-    for both. The ids stay valid because c.gates keeps every tuple alive
-    for the call."""
-    lines = [f"QUBITS {c.num_qubits}"]
-    params_text: dict = {}
-    for g in c.gates:
-        q = g.qubits
-        if g.kind == "cx":
-            lines.append(f"CX {q[0]} {q[1]}")
-            continue
-        p = params_text.get(id(g.params))
-        if p is None:
-            p = "%.17g %.17g %.17g %.17g" % g.params
-            params_text[id(g.params)] = p
-        lines.append(f"U {q[0]} {p}")
-    return "\n".join(lines) + "\n"
+    """The text format of c. Each qubit number and each parameter row is
+    formatted once per call, and each gate's line joins two of those
+    texts, a block of gates at a time."""
+    cols = c.columns()
+    qubits = _distinct(cols[1:3].ravel())
+    qubits = qubits[qubits >= 0]
+    # texts by position in qubits; a qubit's position is its searchsorted
+    cx_head = np.array([f"CX {q} " for q in qubits.tolist()], dtype=object)
+    u_head = np.array([f"U {q} " for q in qubits.tolist()], dtype=object)
+    q_text = np.array([str(q) for q in qubits.tolist()], dtype=object)
+    p_text = np.array(["%.17g %.17g %.17g %.17g" % p
+                       for p in c._params.rows], dtype=object)
+    blocks = [f"QUBITS {c.num_qubits}"]
+    for start in range(0, cols.shape[1], _BLOCK):
+        op, q0, q1, row = cols[:, start:start + _BLOCK]
+        lines = np.empty(len(op), dtype=object)
+        cx = op == _CX
+        u = ~cx
+        lines[cx] = (cx_head[np.searchsorted(qubits, q0[cx])]
+                     + q_text[np.searchsorted(qubits, q1[cx])])
+        lines[u] = u_head[np.searchsorted(qubits, q0[u])] + p_text[row[u]]
+        blocks.append("\n".join(lines.tolist()))
+    return "\n".join(blocks) + "\n"
+
+
+def _line_blocks(text: str):
+    """text.splitlines() in blocks of about _TEXT_BLOCK characters, each
+    cut just after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
+_TEXT_BLOCK = 1 << 18
 
 
 def loads(text: str) -> Circuit:
     """Parse the text format. Raises ValueError on a malformed line: a
     wrong operand count, a qubit outside [0, QUBITS), a non-finite U
     parameter, or a QUBITS header that is missing, repeated or not
-    positive. Each distinct gate line is parsed and checked once per call,
-    and its repeats share that one immutable Gate. The memo is keyed on the
-    exact line, so every spelling that differs in any character (a sign of
-    zero included) is parsed and checked on its own."""
+    positive. Each distinct gate line is parsed and checked once per call
+    and its repeats gather its columns; a U line's four parameters are
+    parsed once per distinct spelling. The memos are keyed on the exact
+    line and the exact words, so every spelling that differs in any
+    character (a sign of zero included) is parsed and checked on its
+    own."""
     num_qubits = None
-    gates = []
-    parsed: dict = {}
-    for raw in text.splitlines():
-        g = parsed.get(raw)
-        if g is not None:
-            gates.append(g)
+    params = _ParamTable()
+    row_of: dict = {}    # the four parameter words of a U line -> its row
+    code_of: dict = {}   # distinct gate line -> its index in distinct
+    distinct = array.array("q")  # op, q0, q1, row of each distinct line
+    codes = array.array("q")
+    put = codes.append
+    for raw in itertools.chain.from_iterable(_line_blocks(text)):
+        code = code_of.get(raw)
+        if code is not None:
+            put(code)
             continue
         tok = raw.split()
-        if not tok or tok[0].startswith("#"):
-            continue
-        head = tok[0]
+        head = tok[0] if tok else "#"
         if head == "U":
             if len(tok) != 6:
                 raise ValueError(f"U takes a qubit and 4 parameters: {raw!r}")
-            params = (float(tok[2]), float(tok[3]), float(tok[4]),
-                      float(tok[5]))
-            if not all(map(math.isfinite, params)):
-                raise ValueError(f"non-finite U parameter: {raw!r}")
-            g = Gate("u", (int(tok[1]),), params)
+            spelled = tuple(tok[2:])
+            row = row_of.get(spelled)
+            if row is None:
+                p = tuple(map(float, spelled))
+                if not all(map(math.isfinite, p)):
+                    raise ValueError(f"non-finite U parameter: {raw!r}")
+                row = row_of[spelled] = params.add(p)
+            distinct.extend((_U, int(tok[1]), -1, row))
         elif head == "CX":
             if len(tok) != 3:
                 raise ValueError(f"CX takes two qubits: {raw!r}")
-            g = Gate("cx", (int(tok[1]), int(tok[2])))
+            a, b = int(tok[1]), int(tok[2])
+            if a == b:
+                raise ValueError("cnot control equals target")
+            distinct.extend((_CX, a, b, -1))
         elif head == "QUBITS":
             if num_qubits is not None:
                 raise ValueError("repeated QUBITS header")
@@ -358,13 +618,17 @@ def loads(text: str) -> Circuit:
                 raise ValueError(f"QUBITS needs one positive count: {raw!r}")
             num_qubits = int(tok[1])
             continue
+        elif head.startswith("#"):
+            continue
         else:
             raise ValueError(f"unrecognized line: {raw!r}")
-        parsed[raw] = g
-        gates.append(g)
+        code = code_of[raw] = len(code_of)
+        put(code)
     if num_qubits is None:
         raise ValueError("missing QUBITS header")
-    qubits = [q for g in parsed.values() for q in g.qubits]
-    if qubits and (min(qubits) < 0 or max(qubits) >= num_qubits):
+    table = np.frombuffer(distinct, dtype=np.int64).reshape(-1, 4).T
+    qubits = np.concatenate([table[1], table[2, table[0] == _CX]])
+    if len(qubits) and (qubits.min() < 0 or qubits.max() >= num_qubits):
         raise ValueError(f"gate qubit outside [0, {num_qubits})")
-    return Circuit(num_qubits, gates)
+    return Circuit._from_columns(
+        num_qubits, table[:, np.frombuffer(codes, dtype=np.int64)], params)

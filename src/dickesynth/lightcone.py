@@ -18,7 +18,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .circuit import Circuit, ConnectivityGraph, asap_layering, grid_index
+import numpy as np
+
+from .circuit import (_BLOCK, _CX, Circuit, ConnectivityGraph, _distinct,
+                      asap_layering, grid_index)
 
 __all__ = [
     "LightConeGraph",
@@ -30,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LightConeGraph:
     """Layered directed graph of a normalized circuit.
 
@@ -41,14 +44,19 @@ class LightConeGraph:
     j contributes pass-through edges (v_{i'+1}^j -> v_{i'}^j) for every
     i' >= i (identity placeholders make the pass-through universal, so
     cones never shrink on idle wires).
+
+    The layers are stored as arrays: ``cnots`` holds one column (i,
+    control, target) per CNOT of layer L_i, latest layer first, and
+    ``touched`` one column (i, q) per qubit q acted on in L_i, each pair
+    once.
     """
 
     num_qubits: int
     depth: int                 # d: number of normalized layers
     raw_depth: int             # greedy layering depth before normalization
     kinds: tuple               # kinds[i] in {'u', 'cx'} for layer L_{i+1}
-    touched: tuple             # touched[i]: frozenset of qubits acted on in L_{i+1}
-    cnot_pairs: tuple          # cnot_pairs[i]: tuple of (control, target) pairs
+    cnots: np.ndarray          # (3, #CNOTs) int64: layer i, control, target
+    touched: np.ndarray        # (2, #pairs) int64: layer i, qubit
 
 
 @dataclass(frozen=True)
@@ -73,61 +81,69 @@ def build_lightcone(c: Circuit) -> LightConeGraph:
     layered graph. Each greedy layer splits into at most one single-qubit
     layer and one CNOT layer (so normalization at most doubles depth);
     adjacent single-qubit layers merge, since composed 1q gates are one
-    gate."""
+    gate. Reads the circuit's columns: each gate's normalized layer is its
+    greedy layer's slot, renumbered over the slots that hold a gate."""
     report = asap_layering(c)
-    kinds: list = []
-    touched: list = []
-    pairs: list = []
-
-    def emit(kind, qubits, cx_pairs):
-        if kind == "u" and kinds and kinds[-1] == "u":
-            touched[-1] = touched[-1] | qubits
-            return
-        kinds.append(kind)
-        touched.append(frozenset(qubits))
-        pairs.append(tuple(cx_pairs))
-
-    for layer in report.layers:
-        uq, cxq, cxp = set(), set(), []
-        for idx in layer:
-            g = c.gates[idx]
-            if g.kind == "cx":
-                cxq.update(g.qubits)
-                cxp.append(tuple(g.qubits))
-            else:
-                uq.add(g.qubits[0])
-        if uq:
-            emit("u", uq, ())
-        if cxq:
-            emit("cx", frozenset(cxq), cxp)
+    raw_depth = report.depth
+    op, q0, q1, _ = c.columns()
+    # slot 2 l holds greedy layer l's single-qubit gates, slot 2 l + 1 its
+    # CNOTs
+    slot = 2 * report.levels + op
+    used = np.flatnonzero(np.bincount(slot, minlength=2 * raw_depth))
+    is_u = used % 2 == 0
+    # a single-qubit slot right after another merges into it
+    opens = np.ones(len(used), dtype=bool)
+    opens[1:] = ~(is_u[1:] & is_u[:-1])
+    layer_of_slot = np.zeros(2 * raw_depth, dtype=np.int64)
+    layer_of_slot[used] = np.cumsum(opens)
+    layer = layer_of_slot[slot]           # L_i of each gate, i from 1
+    kinds = ["u" if u else "cx" for u in is_u[opens].tolist()]
+    cx = op == _CX
+    latest_first = np.argsort(-layer[cx], kind="stable")
+    cnots = np.stack([layer[cx], q0[cx], q1[cx]])[:, latest_first]
+    # a merged single-qubit layer may act on a qubit more than once
+    width = c.num_qubits
+    u_keys = _distinct(layer[~cx] * width + q0[~cx])
+    touched = np.concatenate([np.stack([u_keys // width, u_keys % width]),
+                              cnots[[0, 1]], cnots[[0, 2]]], axis=1)
     return LightConeGraph(
         num_qubits=c.num_qubits,
         depth=len(kinds),
-        raw_depth=report.depth,
+        raw_depth=raw_depth,
         kinds=tuple(kinds),
-        touched=tuple(touched),
-        cnot_pairs=tuple(pairs),
+        cnots=cnots,
+        touched=touched,
     )
 
 
 def reachable(g: LightConeGraph, origin: int) -> ReachableSets:
-    """Backward cone walk from ``origin`` at column d+1 down to column 1."""
+    """Backward cone walk from ``origin`` at column d+1 down to column 1.
+
+    joined[q] is the last column whose cone holds q (0: none). Crossing
+    L_i from column i+1 to column i, a CNOT with one endpoint in the cone
+    pulls the other in at column i. The CNOTs of a layer share no qubit,
+    so one pass over them, latest layer first, walks the whole cone."""
     if not 0 <= origin < g.num_qubits:
         raise ValueError("origin out of range")
     d = g.depth
-    cone = {origin}
-    sizes = [1] * (d + 1)
-    cone_sizes = [1] * (d + 1)
-    for i in range(d, 0, -1):      # crossing layer L_i: column i+1 -> i
-        for a, b in g.cnot_pairs[i - 1]:
-            if a in cone or b in cone:
-                cone.add(a)
-                cone.add(b)
-        cone_sizes[i - 1] = len(cone)
-        sizes[i - 1] = len(cone & g.touched[i - 1])
-    return ReachableSets(origin=origin, sizes=tuple(sizes),
-                         cone_sizes=tuple(cone_sizes),
-                         first_cone=frozenset(cone))
+    joined = [0] * g.num_qubits
+    joined[origin] = d + 1
+    for start in range(0, g.cnots.shape[1], _BLOCK):
+        for i, a, b in zip(*g.cnots[:, start:start + _BLOCK].tolist()):
+            if joined[a]:
+                if not joined[b]:
+                    joined[b] = i
+            elif joined[b]:
+                joined[a] = i
+    joined = np.array(joined, dtype=np.int64)
+    # column c's cone: the qubits with joined >= c
+    cone_sizes = np.cumsum(np.bincount(joined, minlength=d + 2)[::-1])[::-1]
+    layer, q = g.touched
+    sizes = np.bincount(layer[joined[q] >= layer], minlength=d + 1)
+    return ReachableSets(origin=origin,
+                         sizes=tuple(sizes[1:].tolist()) + (1,),
+                         cone_sizes=tuple(cone_sizes[1:].tolist()),
+                         first_cone=frozenset(np.flatnonzero(joined).tolist()))
 
 
 @dataclass

@@ -122,7 +122,7 @@ class SynthesisPlan:
 def _stats(t: Circuit) -> tuple:
     """A template's (ASAP depth, size, CNOT count) for its plan record."""
     return (asap_layering(t).depth, t.size,
-            sum(1 for g in t.gates if g.kind == "cx"))
+            int(np.count_nonzero(t.columns()[0])))
 
 
 # --- ancilla-accelerated divide --------------------------------------------
@@ -252,16 +252,17 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla,
         # and to s2[l-a-1]
         _fold_into(c, mids, s1)
         _fold_into(c, [mid[::-1] for mid in mids], s2)
-        fan = [g for t in range(rows[-1][0] - 1)
-               for g in fanout_copy([s1[t], s2[t]],
-                                    [[c1[t], c2[t]]
-                                     for _, _, c1, c2 in rows[:-1]
-                                     if t < len(c1)]).gates]
+        fan = Circuit(num_qubits)
+        for t in range(rows[-1][0] - 1):
+            fan.extend(fanout_copy([s1[t], s2[t]],
+                                   [[c1[t], c2[t]]
+                                    for _, _, c1, c2 in rows[:-1]
+                                    if t < len(c1)]))
         c.extend(fan)
         for ell, mid, c1, c2 in rows:
             for a in range(1, ell):
                 build_ccx(c, c1[a - 1], c2[ell - a - 1], mid[a - 1])
-        c.extend(reversed(fan))
+        c.extend(inverse(fan))   # CNOTs only: the gates in reverse
     return c
 
 
@@ -335,16 +336,17 @@ def synth_alltoall(n: int, k: int) -> tuple:
 
     def rec(base: int, nn: int, layer: int, onehot: bool) -> None:
         variant, placed, *stats = choose(nn)
-        # remap_qubits checks the offset map once, not each gate
+        # remap_qubits checks the offset map once, then gathers the
+        # template's qubit columns through it
         shift = range(base, base + nn)
         if onehot != (variant == "ancilla"):
             # convert the count to the form the block's variant takes
             name, conv = (("inverse(u_uo)", from_onehot) if onehot
                           else ("u_uo", to_onehot))
-            c.gates.extend(remap_qubits(conv, shift[:k], n).gates)
+            c.extend(remap_qubits(conv, shift[:k], n))
             plan.conversions.append(PlanConversion(
                 name, tuple(shift[:k]), *conv_stats))
-        c.gates.extend(remap_qubits(placed, shift, n).gates)
+        c.extend(remap_qubits(placed, shift, n))
         if variant == "ladder":
             plan.tail_units.append(tuple(shift))
             return
@@ -515,7 +517,7 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         length = len(snake)
         if length not in ladders:
             ladders[length] = dicke_unitary_path(length, min(k, length))
-        c.gates.extend(remap_qubits(ladders[length], snake, n).gates)
+        c.extend(remap_qubits(ladders[length], snake, n))
         plan.tail_units.append(tuple(snake))
 
     def divide_step(c0: int, c1: int, cmid: int, layer: int) -> None:
@@ -524,15 +526,16 @@ def synth_grid(n1: int, n2: int, k: int) -> tuple:
         shape = (n1 * (c1 - c0), n1 * (c1 - cmid))
         span = cmid - c0 + w
         if shape not in divides:
-            t = Circuit(n1 * span, list(divide_unitary_path(DivideSpec(
+            t = Circuit(n1 * span)
+            t.extend(divide_unitary_path(DivideSpec(
                 n=shape[0], m=shape[1], k=k, left=tuple(range(k, 2 * k)),
-                right=tuple(range(k)))).gates))
+                right=tuple(range(k)))))
             _route_block(t, span - w, w, k, n1)
             divides[shape] = (t, *_stats(t))
         template, *stats = divides[shape]
         # local grid_index order is the serpentine: rows stay put
         snake = _slab_serpentine(c0, span, n1)
-        c.gates.extend(remap_qubits(template, snake, n).gates)
+        c.extend(remap_qubits(template, snake, n))
         plan.recursion_tree.append(PlanNode(
             layer, *shape, tuple(snake[k:2 * k]), tuple(snake[:k]), "path",
             *stats))

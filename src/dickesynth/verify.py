@@ -79,20 +79,24 @@ def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray) -> tuple:
     basis indices idx, returning the new support and amplitudes in idx's
     integer dtype. It never builds a 2^n vector, so it runs on up to 62
     qubits with int64 indices, or 64 with uint64, while the support
-    stays small."""
-    for g in c.gates:
-        if g.kind == "cx":
-            ctrl, targ = g.qubits
-            idx = idx ^ (((idx >> ctrl) & 1) << targ)
+    stays small. It reads c's columns and builds each parameter row's
+    matrix once, on the first gate that uses it."""
+    rows = c.param_rows
+    mats: dict = {}
+    for op, a, b, r in zip(*c.columns().tolist()):
+        if op:
+            idx = idx ^ (((idx >> a) & 1) << b)
             continue
-        (targ,) = g.qubits
-        bit = idx.dtype.type(1 << targ)
+        m = mats.get(r)
+        if m is None:
+            m = mats[r] = gate_matrix(rows[r]).T
+        bit = idx.dtype.type(1 << a)
         pairs, slot = np.unique(idx & ~bit, return_inverse=True)
         # column 0 holds the target-bit-0 amplitude of each pair, column 1
         # the target-bit-1 one; indices are distinct, so no two collide
         half = np.zeros((len(pairs), 2), dtype=complex)
-        half[slot, (idx >> targ) & 1] = amp
-        amp = (half @ gate_matrix(g).T).ravel()
+        half[slot, (idx >> a) & 1] = amp
+        amp = (half @ m).ravel()
         idx = (pairs[:, None] | np.array([0, bit], dtype=idx.dtype)).ravel()
         keep = np.abs(amp) > 1e-14
         idx, amp = idx[keep], amp[keep]

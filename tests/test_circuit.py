@@ -293,6 +293,127 @@ def test_loads_checks_every_distinct_line_and_shares_repeats():
     with pytest.raises(ValueError, match="outside"):
         loads("QUBITS 2\nCX 0 9\nCX 0 9\n")
     back = loads("QUBITS 2\nCX 0 1\nU 1 0.5 0 0 0\nCX 0 1\nU 1 0.5 0 0 0\n")
-    assert back.gates[0] is back.gates[2]
-    assert back.gates[1] is back.gates[3]
+    # the one distinct U line is one parameter row, and both its gates
+    # point at it
+    assert back.param_rows == ((0.5, 0.0, 0.0, 0.0),)
+    assert back.columns()[3].tolist() == [-1, 0, -1, 0]
     assert back.gates == [cx_gate(0, 1), u_gate(1, 0.5)] * 2
+
+
+def test_constructor_checks_qubit_range():
+    # a gate outside [0, n) would dump as text that loads refuses
+    with pytest.raises(ValueError, match="gate index 5 out of range"):
+        Circuit(2, [cx_gate(0, 1), cx_gate(0, 5)])
+    with pytest.raises(ValueError, match="gate index -1 out of range"):
+        Circuit(2, [u_gate(-1, 0.5)])
+    wide = Circuit(6)
+    wide.cx(0, 5)
+    with pytest.raises(ValueError, match="gate index 5 out of range"):
+        Circuit(2).extend(wide)
+    ok = Circuit(2, [cx_gate(1, 0), u_gate(1, 0.5)])
+    assert loads(dumps(ok)).gates == ok.gates
+
+
+def _random_circuit(n, size, seed):
+    rng = np.random.default_rng(seed)
+    c = Circuit(n)
+    for _ in range(size):
+        if rng.random() < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            c.cx(int(a), int(b))
+        else:
+            # a few parameter rows, so lines repeat as in placed templates
+            c.u(int(rng.integers(n)), *rng.choice([0.5, -1.25, math.pi], 4))
+    return c
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("U 0 1 2 3", "U takes a qubit and 4 parameters"),
+    ("U 0 1 2 3 4 5", "U takes a qubit and 4 parameters"),
+    ("U", "U takes a qubit and 4 parameters"),
+    ("CX 0", "CX takes two qubits"),
+    ("CX 0 1 2", "CX takes two qubits"),
+    ("U 4 0.5 0 0 0", "gate qubit outside [0, 4)"),
+    ("CX 0 9", "gate qubit outside [0, 4)"),
+    ("CX -1 2", "gate qubit outside [0, 4)"),
+    ("U 0 inf 0 0 0", "non-finite U parameter"),
+    ("U 0 0.5 0 nan 0", "non-finite U parameter"),
+    ("QUBITS 4", "repeated QUBITS header"),
+    ("BOGUS 1 2", "unrecognized line"),
+])
+def test_loads_error_does_not_depend_on_the_lines_before(bad, message):
+    valid = dumps(_random_circuit(4, 5000, 1)).splitlines()
+    assert valid[0] == "QUBITS 4" and len(valid) == 5001
+
+    def error(text):
+        with pytest.raises(ValueError) as info:
+            loads(text)
+        return str(info.value)
+
+    alone = error("\n".join(["QUBITS 4", bad]))
+    assert message in alone
+    assert error("\n".join([*valid, bad])) == alone
+
+
+@pytest.mark.parametrize("header,message", [
+    (None, "missing QUBITS header"),
+    ("QUBITS 0", "QUBITS needs one positive count"),
+    ("QUBITS -3", "QUBITS needs one positive count"),
+    ("QUBITS", "QUBITS needs one positive count"),
+])
+def test_loads_header_error_does_not_depend_on_the_lines_before(header,
+                                                                message):
+    # the gate lines come first: a header may stand anywhere
+    gates = dumps(_random_circuit(4, 5000, 2)).splitlines()[1:]
+    tail = [] if header is None else [header]
+    errors = []
+    for before in ([gates[0]], gates):
+        with pytest.raises(ValueError) as info:
+            loads("\n".join([*before, *tail]))
+        errors.append(str(info.value))
+    assert message in errors[0] and errors[1] == errors[0]
+
+
+def test_placed_signed_zeros_keep_their_spelling():
+    # two templates differ only in the sign of a zero in one parameter
+    # slot: the parameter table tells them apart by bits, not by ==
+    plus, minus = Circuit(1), Circuit(1)
+    plus.u(0, 0.0, 0.25)
+    minus.u(0, -0.0, 0.25)
+    c = Circuit(2)
+    c.extend(remap_qubits(plus, [0], 2))
+    c.extend(remap_qubits(minus, [1], 2))
+    c.extend(remap_qubits(plus, [1], 2))
+    assert len(c.param_rows) == 2
+    text = dumps(c)
+    assert text == ("QUBITS 2\nU 0 0 0.25 0 0\nU 1 -0 0.25 0 0\n"
+                    "U 1 0 0.25 0 0\n")
+    back = loads(text)
+    assert len(back.param_rows) == 2
+    assert dumps(back) == text
+
+
+@pytest.mark.parametrize("graph", [
+    ConnectivityGraph.complete(7), ConnectivityGraph.path(9),
+    ConnectivityGraph.grid(3, 5), ConnectivityGraph.grid(4, 4),
+    ConnectivityGraph.grid(2, 9)], ids=lambda g: g.topology_tag)
+def test_validate_connectivity_matches_has_edge(graph):
+    n = graph.num_vertices
+    rng = np.random.default_rng(n)
+    c = Circuit(n)
+    want = []
+    for i in range(300):
+        if rng.random() < 0.2:
+            c.u(int(rng.integers(n)), 0.5)
+            continue
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        if rng.random() < 0.5 and graph.rows is not None:
+            # half of the grid CNOTs on a neighbour, so both verdicts occur
+            b = a + 1 if a + 1 < n else a - 1
+        c.cx(a, b)
+        if not graph.has_edge(a, b):
+            want.append((i, cx_gate(a, b)))
+    got = validate_connectivity(c, graph)
+    assert got == want
+    if graph.rows is not None:
+        assert 0 < len(want) < c.size

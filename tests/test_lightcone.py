@@ -1,11 +1,13 @@
 import hashlib
 import math
+import random
 from collections import Counter, deque
 from itertools import accumulate
 
 import pytest
 
-from dickesynth.circuit import Circuit, ConnectivityGraph, grid_index
+from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
+                                grid_index)
 from dickesynth.lightcone import (AuditReport, _shape_bounds,
                                   audit_lower_bound, build_lightcone,
                                   reachable)
@@ -78,6 +80,66 @@ def test_alltoall_cone_doubling(n, k):
         sizes = r.cone_sizes
         for i in range(len(sizes) - 1):
             assert sizes[i + 1] <= sizes[i] <= 2 * sizes[i + 1]
+
+
+def _reference_walk(c, origin):
+    """Oracle: the set-based construction over Gate objects. Each ASAP
+    layer splits into a one-qubit layer and a CNOT layer, adjacent
+    one-qubit layers merge, and the backward walk adds both ends of every
+    CNOT that touches the cone."""
+    kinds, touched, pairs = [], [], []
+    for layer in asap_layering(c).layers:
+        gates = [c.gates[i] for i in layer]
+        uq = {g.qubits[0] for g in gates if g.kind == "u"}
+        cx = [g.qubits for g in gates if g.kind == "cx"]
+        if uq and kinds and kinds[-1] == "u":
+            touched[-1] |= uq
+        elif uq:
+            kinds.append("u")
+            touched.append(uq)
+            pairs.append([])
+        if cx:
+            kinds.append("cx")
+            touched.append({q for pair in cx for q in pair})
+            pairs.append(cx)
+    d = len(kinds)
+    cone, sizes, cone_sizes = {origin}, [1] * (d + 1), [1] * (d + 1)
+    for i in range(d, 0, -1):
+        for a, b in pairs[i - 1]:
+            if a in cone or b in cone:
+                cone |= {a, b}
+        cone_sizes[i - 1] = len(cone)
+        sizes[i - 1] = len(cone & touched[i - 1])
+    return tuple(kinds), tuple(sizes), tuple(cone_sizes), cone
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cone_walk_matches_set_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    c = Circuit(n)
+    for _ in range(rng.randint(0, 60)):
+        if n > 1 and rng.random() < 0.5:
+            c.cx(*rng.sample(range(n), 2))
+        else:
+            c.u(rng.randrange(n), rng.random())
+    g = build_lightcone(c)
+    for origin in range(n):
+        r = reachable(g, origin)
+        assert (g.kinds, r.sizes, r.cone_sizes, r.first_cone) == \
+            _reference_walk(c, origin)
+
+
+@pytest.mark.parametrize("topology,dims,k", [("complete", 32, 3),
+                                             ("grid", (4, 6), 2),
+                                             ("path", 12, 3)])
+def test_cone_walk_matches_set_oracle_on_dicke(topology, dims, k):
+    c = prepare_dicke(topology, dims, k)
+    g = build_lightcone(c)
+    for origin in (0, c.num_qubits - 1):
+        r = reachable(g, origin)
+        assert (g.kinds, r.sizes, r.cone_sizes, r.first_cone) == \
+            _reference_walk(c, origin)
 
 
 # --- lower-bound audit ----------------------------------------------------------

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
-                                asap_layering, dumps, inverse, remap_qubits,
-                                validate_connectivity)
+                                asap_layering, dumps, inverse, loads,
+                                remap_qubits, validate_connectivity)
 from dickesynth.encoding import u_uo
 from dickesynth.synth import (SynthesisPlan, _conveyor_depth, _ladder_slope,
                               _pack_rows, _permute_on_path,
@@ -160,10 +160,10 @@ def test_divide_ancilla_fault_in_one_row_is_caught():
         on = set(mid) or {flag}
         at = next(i for i in range(start, c.size)
                   if _is_ry(c.gates[i]) and c.gates[i].qubits[0] in on)
-        faulty = Circuit(c.num_qubits, list(c.gates))
-        g = c.gates[at]
-        faulty.gates[at] = Gate("u", g.qubits,
-                                (g.params[0] + 1e-3, *g.params[1:]))
+        edited = list(c.gates)
+        g = edited[at]
+        edited[at] = Gate("u", g.qubits, (g.params[0] + 1e-3, *g.params[1:]))
+        faulty = Circuit(c.num_qubits, edited)
         assert _ancilla_divide_error(faulty, spec) > 1e-6, ell
 
 
@@ -753,6 +753,36 @@ def test_grid_builds_each_template_once_per_call(monkeypatch):
     shapes = {(node.n_node, node.m_node) for node in plan.recursion_tree}
     assert built == {"ladder": len({len(u) for u in plan.tail_units}),
                      "divide": len(shapes), "route": len(shapes)}
+
+
+def test_no_per_gate_objects_on_placement_or_text(monkeypatch):
+    # placement gathers a template's columns and text I/O reads and writes
+    # columns: neither builds a Gate per placed gate. The bound is the
+    # summed size of the distinct templates, far below the gates placed.
+    n, k = 1024, 8
+    c, plan = synth_alltoall(n, k)
+    templates = ({node.n_node: node.size for node in plan.recursion_tree}
+                 | {("conv", conv.name): conv.size
+                    for conv in plan.conversions}
+                 | {("tail", len(unit)): dicke_unitary_path(len(unit), k).size
+                    for unit in plan.tail_units})
+    bound = sum(templates.values())
+    assert bound < c.size // 10
+    built = [0]
+    new = Gate.__new__
+
+    def counted(cls, *args):
+        built[0] += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(Gate, "__new__", counted)
+    again, _ = synth_alltoall(n, k)
+    assert built[0] <= bound
+    back = loads(dumps(again))
+    assert built[0] <= bound
+    assert back.gates == c.gates and again.gates == c.gates
+    list(c.gates[:3])
+    assert built[0] >= 3   # the counter sees the Gates a view builds
 
 
 def test_path_topology_is_one_row_grid():

@@ -238,3 +238,19 @@ def test_separability_reduced_dicke_entangled():
 def test_separability_rejects_invalid():
     with pytest.raises(ValueError):
         two_qubit_separability(np.eye(4))
+
+
+def test_evolve_builds_one_matrix_per_parameter_row(monkeypatch):
+    import dickesynth.verify as verify
+    c = prepare_dicke("complete", 16, 3)
+    u_gates = sum(g.kind == "u" for g in c.gates)
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return gate_matrix(g)
+
+    monkeypatch.setattr(verify, "gate_matrix", counted)
+    out = simulate(c, 0)
+    assert fidelity(out, dicke_reference(16, 3)) > 1 - 1e-10
+    assert 0 < calls[0] <= len(c.param_rows) < u_gates
