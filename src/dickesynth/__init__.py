@@ -13,16 +13,11 @@ from .circuit import (
     Gate,
     asap_layering,
     compose,
-    cx_gate,
     dumps,
     inverse,
     loads,
-    phase_gate,
     remap_qubits,
-    ry_gate,
-    u_gate,
     validate_connectivity,
-    x_gate,
 )
 from .encoding import u_uo
 from .lightcone import (

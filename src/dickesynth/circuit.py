@@ -14,8 +14,9 @@ are kept symbolic as (theta, phi, lam, gamma) rows with matrix
 so that inverses are exact at the parameter level; matrices are only
 materialized by the verifier, once per row. Relabelling a template onto a
 block is one gather of its qubit columns, and text I/O, layering and the
-audits read the columns. A Gate tuple is built only when a caller reads
-Circuit.gates.
+audits read the columns. The emitters, extend, remap_qubits, inverse,
+compose and loads are the only ways to fill a circuit; a Gate tuple is
+built only when a caller reads Circuit.gates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import math
 import struct
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +37,6 @@ __all__ = [
     "Circuit",
     "ConnectivityGraph",
     "DepthReport",
-    "u_gate",
-    "cx_gate",
-    "x_gate",
-    "ry_gate",
-    "phase_gate",
     "gate_matrix",
     "asap_layering",
     "validate_connectivity",
@@ -57,57 +52,16 @@ _row_bits = struct.Struct("4d").pack  # a parameter row's identity
 
 
 class Gate(namedtuple("GateFields", "kind qubits params")):
-    """One gate: kind 'u' (single-qubit) or 'cx' (CNOT).
-
-    For 'u', qubits = (target,) and params = (theta, phi, lam, gamma).
-    For 'cx', qubits = (control, target) and params = ().
-    An immutable tuple, checked once when built.
-    """
+    """One gate as read from Circuit.gates: kind 'u' (single-qubit) or
+    'cx' (CNOT). For 'u', qubits = (target,) and params = (theta, phi,
+    lam, gamma); for 'cx', qubits = (control, target) and params = ()."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, qubits: tuple, params: tuple = ()):
-        self = tuple.__new__(cls, (kind, qubits, params))
-        if kind == "cx":
-            c, t = qubits
-            if c == t:
-                raise ValueError("cnot control equals target")
-        elif kind == "u":
-            if len(qubits) != 1 or len(params) != 4:
-                raise ValueError(f"u gate takes 1 qubit and 4 parameters: "
-                                 f"{self!r}")
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        return self
 
-
-def u_gate(target: int, theta: float, phi: float = 0.0,
-           lam: float = 0.0, gamma: float = 0.0) -> Gate:
-    return Gate("u", (target,), (float(theta), float(phi), float(lam), float(gamma)))
-
-
-def cx_gate(control: int, target: int) -> Gate:
-    return Gate("cx", (control, target))
-
-
-def x_gate(target: int) -> Gate:
-    # X = e^{i pi/2} Ry(pi) Rz(pi) up to parameterization; as a u-quadruple:
-    return u_gate(target, math.pi, 0.0, math.pi, 0.0)
-
-
-def ry_gate(target: int, theta: float) -> Gate:
-    return u_gate(target, theta, 0.0, 0.0, 0.0)
-
-
-def phase_gate(target: int, delta: float) -> Gate:
-    # diag(1, e^{i delta})
-    return u_gate(target, 0.0, 0.0, delta, 0.0)
-
-
-def gate_matrix(g) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate, given as a Gate or as its
-    (theta, phi, lam, gamma) row."""
-    theta, phi, lam, gamma = g.params if isinstance(g, Gate) else g
+def gate_matrix(row) -> np.ndarray:
+    """2x2 matrix of a single-qubit gate's (theta, phi, lam, gamma) row."""
+    theta, phi, lam, gamma = row
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     # two phases, not e^{i(phi+lam)}: phi + lam can overflow to inf
     e_phi, e_lam = cmath.exp(1j * phi), cmath.exp(1j * lam)
@@ -120,8 +74,10 @@ class _ParamTable:
     """Append-only table of the distinct (theta, phi, lam, gamma) rows a
     circuit's single-qubit gates point into. Rows are told apart by their
     bits, never by ==, which would merge 0.0 with -0.0 and write one sign
-    for both. Circuits may share a table: rows are only ever appended, so
-    a row index never changes its meaning."""
+    for both. A row is checked to be finite when it is first stored, so
+    every row dumps as text that loads accepts. Circuits may share a
+    table: rows are only ever appended, so a row index never changes its
+    meaning."""
 
     __slots__ = ("rows", "_index", "_merged")
 
@@ -136,6 +92,8 @@ class _ParamTable:
         key = _row_bits(*p)
         r = self._index.get(key)
         if r is None:
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"non-finite U parameter: {p}")
             r = self._index[key] = len(self.rows)
             self.rows.append(p)
         return r
@@ -158,27 +116,15 @@ class Circuit:
     """Ordered gates over num_qubits qubits, stored as columns (see the
     module docstring). Emitters append to a list buffer, so building a
     small circuit makes no per-gate numpy call; columns() joins the buffer
-    and any placed blocks into one array when a reader asks for it.
-
-    Circuit(n, gates) takes an iterable of Gate and checks every qubit
-    against [0, n) at once."""
+    and any placed blocks into one array when a reader asks for it."""
 
     __slots__ = ("num_qubits", "_params", "_chunks", "_buf")
 
-    def __init__(self, num_qubits: int, gates=()):
+    def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
         self._params = _ParamTable()
         self._chunks: list = []   # (4, m) int64 column blocks, read-only
         self._buf: list = []      # op, q0, q1, row of each gate emitted since
-        buf, add = self._buf, self._params.add
-        for g in gates:
-            if g.kind == "cx":
-                buf.extend((_CX, *g.qubits, -1))
-            else:
-                buf.extend((_U, g.qubits[0], -1,
-                            add(tuple(map(float, g.params)))))
-        if buf:
-            self._check_range(self.columns())
 
     @classmethod
     def _from_columns(cls, num_qubits: int, cols: np.ndarray,
@@ -231,34 +177,29 @@ class Circuit:
         return sum(ch.shape[1] for ch in self._chunks) + len(self._buf) // 4
 
     def __eq__(self, other):
+        """Column by column; parameters by value, as Gate tuples compare."""
         if not isinstance(other, Circuit):
             return NotImplemented
-        return (self.num_qubits == other.num_qubits
-                and self.gates == other.gates)
+        ca, cb = self.columns(), other.columns()
+        if (self.num_qubits != other.num_qubits or ca.shape != cb.shape
+                or not np.array_equal(ca[:3], cb[:3])):
+            return False
+        u = ca[0] == _U
+        pa = np.array(self._params.rows, dtype=float).reshape(-1, 4)
+        pb = np.array(other._params.rows, dtype=float).reshape(-1, 4)
+        return bool(np.array_equal(pa[ca[3, u]], pb[cb[3, u]]))
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"Circuit({self.num_qubits}, size={self.size})"
 
-    def append(self, gate: Gate) -> None:
-        if gate.kind == "cx":
-            self.cx(*gate.qubits)
-        else:
-            self.u(*gate.qubits, *gate.params)
-
-    def extend(self, gates) -> None:
-        """Append a circuit's gates (given as the circuit or its gates
-        view: the columns are copied, not the gates) or any iterable of
-        Gate."""
-        if isinstance(gates, GateView):
-            gates = gates._circuit
-        if not isinstance(gates, Circuit):
-            gates = Circuit(self.num_qubits, gates)
-        cols = gates.columns()
-        if gates.num_qubits > self.num_qubits:
+    def extend(self, other: "Circuit") -> None:
+        """Append other's gates: its columns are copied, not its gates."""
+        cols = other.columns()
+        if other.num_qubits > self.num_qubits:
             self._check_range(cols)
-        rows = self._params.merge(gates._params)
+        rows = self._params.merge(other._params)
         cols = np.concatenate([cols[:3], rows[cols[3:]]])
         self._flush()
         self._chunks.append(cols)
@@ -307,14 +248,12 @@ def _gates(cols: np.ndarray, rows: list):
     for start in range(0, cols.shape[1], _BLOCK):
         block = cols[:, start:start + _BLOCK].tolist()
         for op, a, b, r in zip(*block):
-            yield Gate("cx", (a, b)) if op else Gate("u", (a,), rows[r])
+            yield Gate("cx", (a, b), ()) if op else Gate("u", (a,), rows[r])
 
 
-class GateView(Sequence):
-    """Read-only sequence of a circuit's gates as Gate tuples, each built
-    as it is read. Two views compare column by column (parameters by
-    value, as Gate tuples do); a view also equals a list or tuple of the
-    same Gates. Slicing and + give lists."""
+class GateView:
+    """Read-only view of a circuit's gates as Gate tuples, each built as it
+    is read. Two views compare as their circuits do."""
 
     __slots__ = ("_circuit",)
 
@@ -324,37 +263,19 @@ class GateView(Sequence):
     def __len__(self) -> int:
         return self._circuit.size
 
-    def __getitem__(self, i):
-        cols, rows = self._circuit.columns(), self._circuit._params.rows
-        if isinstance(i, slice):
-            return list(_gates(cols[:, i], rows))
-        return next(_gates(cols[:, [i]], rows))
+    def __getitem__(self, i: int) -> Gate:
+        return next(_gates(self._circuit.columns()[:, [i]],
+                           self._circuit._params.rows))
 
     def __iter__(self):
         return _gates(self._circuit.columns(), self._circuit._params.rows)
 
     def __eq__(self, other):
         if isinstance(other, GateView):
-            a, b = self._circuit, other._circuit
-            ca, cb = a.columns(), b.columns()
-            if ca.shape != cb.shape or not np.array_equal(ca[:3], cb[:3]):
-                return False
-            u = ca[0] == _U
-            pa = np.array(a._params.rows, dtype=float).reshape(-1, 4)
-            pb = np.array(b._params.rows, dtype=float).reshape(-1, 4)
-            return bool(np.array_equal(pa[ca[3, u]], pb[cb[3, u]]))
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(
-                g == h for g, h in zip(self, other))
+            return self._circuit == other._circuit
         return NotImplemented
 
     __hash__ = None
-
-    def __add__(self, other) -> list:
-        return [*self, *other]
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 @dataclass(frozen=True)
@@ -398,12 +319,16 @@ class ConnectivityGraph:
             a, b = b, a
         if a < 0 or a == b or b >= self.num_vertices:
             return False
-        n1 = self.rows
-        # consecutive numbers are adjacent (the numbering is a Hamiltonian
-        # path); otherwise only a cell in column c and its same-row
-        # neighbour in column c + 1, whose numbers sum to 2 (c + 1) n1 - 1
-        return (n1 is None or b == a + 1
-                or a + b == 2 * (a // n1 + 1) * n1 - 1)
+        return self.rows is None or _grid_edge(a, b, self.rows)
+
+
+def _grid_edge(a, b, n1):
+    """Whether vertices a < b (in range) of a grid with n1 rows are
+    adjacent, on ints or elementwise on arrays. Consecutive numbers are
+    adjacent (the numbering is a Hamiltonian path); otherwise only a cell
+    in column c and its same-row neighbour in column c + 1, whose numbers
+    sum to 2 (c + 1) n1 - 1."""
+    return (b == a + 1) | (a + b == 2 * (a // n1 + 1) * n1 - 1)
 
 
 def grid_index(row: int, col: int, n1: int) -> int:
@@ -459,8 +384,8 @@ def asap_layering(c: Circuit) -> DepthReport:
 
 
 def validate_connectivity(c: Circuit, g: ConnectivityGraph) -> list:
-    """Every CNOT whose endpoints are not an edge of g, as (gate_index,
-    gate): has_edge's closed form evaluated on the CNOT columns at once."""
+    """The gate indices of the CNOTs whose endpoints are not an edge of g,
+    from has_edge's closed form evaluated on the CNOT columns at once."""
     if c.num_qubits != g.num_vertices:
         raise ValueError("qubit count mismatch")
     if g.rows is None:
@@ -470,10 +395,7 @@ def validate_connectivity(c: Circuit, g: ConnectivityGraph) -> list:
     cx = np.flatnonzero(cols[0] == _CX)
     a = np.minimum(cols[1, cx], cols[2, cx])
     b = np.maximum(cols[1, cx], cols[2, cx])
-    n1 = g.rows
-    edge = (b == a + 1) | (a + b == 2 * (a // n1 + 1) * n1 - 1)
-    gates = c.gates
-    return [(i, gates[i]) for i in cx[~edge].tolist()]
+    return cx[~_grid_edge(a, b, g.rows)].tolist()
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
@@ -599,10 +521,7 @@ def loads(text: str) -> Circuit:
             spelled = tuple(tok[2:])
             row = row_of.get(spelled)
             if row is None:
-                p = tuple(map(float, spelled))
-                if not all(map(math.isfinite, p)):
-                    raise ValueError(f"non-finite U parameter: {raw!r}")
-                row = row_of[spelled] = params.add(p)
+                row = row_of[spelled] = params.add(tuple(map(float, spelled)))
             distinct.extend((_U, int(tok[1]), -1, row))
         elif head == "CX":
             if len(tok) != 3:

@@ -64,7 +64,7 @@ def _load_amplitudes(path):
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _UsageError(f"cannot read amplitude file: {e}") from e
     for line in lines:
         line = line.strip()

@@ -90,11 +90,12 @@ def _divide_entrywise_error(c, n, m, k):
 def _unary_divide_ancilla(spec, ancilla, nq):
     """The one-hot ancilla divide between unary <-> one-hot conversions:
     u_uo(S2), the divide, then inverse(u_uo) on S1 and on S2."""
-    return Circuit(nq, [
-        *u_uo(spec.right).gates,
-        *divide_unitary_ancilla(spec, ancilla, num_qubits=nq).gates,
-        *inverse(u_uo(spec.left)).gates,
-        *inverse(u_uo(spec.right)).gates])
+    c = Circuit(nq)
+    for part in (u_uo(spec.right),
+                 divide_unitary_ancilla(spec, ancilla, num_qubits=nq),
+                 inverse(u_uo(spec.left)), inverse(u_uo(spec.right))):
+        c.extend(part)
+    return c
 
 
 def test_criterion_02_divide_unitary_coefficients():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
-                                asap_layering, compose, cx_gate, dumps,
-                                gate_matrix, grid_index, inverse, loads,
-                                remap_qubits, u_gate, validate_connectivity)
+                                asap_layering, compose, dumps, gate_matrix,
+                                grid_index, inverse, loads, remap_qubits,
+                                validate_connectivity)
+from dickesynth.synth import synth_alltoall, synth_grid
 from dickesynth.verify import fidelity, simulate
 
 
@@ -71,10 +72,11 @@ def test_layering_preserves_semantics():
         else:
             c.u(int(rng.integers(6)), *rng.uniform(-math.pi, math.pi, 4))
     rep = asap_layering(c)
-    relay = Circuit(6)
-    for layer in rep.layers:
-        for i in layer:
-            relay.append(c.gates[i])
+    # the gates' text lines, layer by layer
+    lines = dumps(c).splitlines()
+    relay = loads("\n".join([lines[0], *(lines[i + 1] for layer in rep.layers
+                                         for i in layer)]))
+    assert relay.size == c.size
     assert fidelity(simulate(c), simulate(relay)) > 1 - 1e-12
 
 
@@ -86,7 +88,7 @@ def test_validate_connectivity_path():
     bad = Circuit(3)
     bad.cx(0, 2)
     violations = validate_connectivity(bad, g)
-    assert len(violations) == 1 and violations[0][0] == 0
+    assert violations == [0] and len(violations) == 1
 
 
 def test_single_qubit_gates_always_legal():
@@ -175,7 +177,7 @@ def test_gate_matrix_finite_unitary_at_huge_parameters():
     big = 1.7e308
     for signs in np.ndindex(2, 2, 2, 2):
         params = [big if s else -big for s in signs]
-        m = gate_matrix(u_gate(0, *params))
+        m = gate_matrix(params)
         assert np.isfinite(m).all(), params
         assert np.allclose(m @ m.conj().T, np.eye(2)), params
 
@@ -184,7 +186,7 @@ def test_cnot_self_inverse():
     c = Circuit(2)
     c.cx(0, 1)
     inv = inverse(c)
-    assert inv.gates == [cx_gate(0, 1)]
+    assert list(inv.gates) == [("cx", (0, 1), ())]
 
 
 def test_compose_with_inverse_is_identity():
@@ -215,16 +217,15 @@ def test_remap_qubits():
     c = Circuit(2)
     c.cx(0, 1)
     out = remap_qubits(c, {0: 2, 1: 5}, num_qubits=6)
-    assert out.gates == [cx_gate(2, 5)]
-    assert remap_qubits(c, [3, 1], num_qubits=4).gates == [cx_gate(3, 1)]
-    assert remap_qubits(c, range(4, 6), num_qubits=6).gates == [cx_gate(4, 5)]
-    assert remap_qubits(c, {0: 1, 1: 0}).gates == [cx_gate(1, 0)]
-    # relabelled gates skip the constructor's checks but are the same
-    # immutable Gate values as ones built directly
+    assert list(out.gates) == [("cx", (2, 5), ())]
+    for perm, n, want in [([3, 1], 4, (3, 1)), (range(4, 6), 6, (4, 5)),
+                          ({0: 1, 1: 0}, None, (1, 0))]:
+        assert list(remap_qubits(c, perm, n).gates) == [("cx", want, ())]
+    # relabelled gates read as immutable Gate values, equal to plain tuples
     c.u(1, 0.5, 0.25, -0.5, 0.0)
     out = remap_qubits(c, [4, 2], num_qubits=5)
-    direct = [cx_gate(4, 2), u_gate(2, 0.5, 0.25, -0.5, 0.0)]
-    assert out.gates == direct
+    direct = [("cx", (4, 2), ()), ("u", (2,), (0.5, 0.25, -0.5, 0.0))]
+    assert list(out.gates) == direct
     for g, d in zip(out.gates, direct):
         assert type(g) is Gate and hash(g) == hash(d)
         with pytest.raises(AttributeError):
@@ -240,17 +241,37 @@ def test_remap_qubits():
 
 
 def test_gate_invariants():
-    with pytest.raises(ValueError):
-        cx_gate(1, 1)
+    # the emitters write no gate that would dump as a line loads rejects
     c = Circuit(2)
+    with pytest.raises(ValueError, match="control equals target"):
+        c.cx(1, 1)
     with pytest.raises(ValueError):
         c.cx(0, 5)
-    # a u gate acts on one qubit with four parameters; the first would
-    # dump without qubit 1, the second as a line loads rejects
-    with pytest.raises(ValueError, match="u gate"):
-        Gate("u", (0, 1), (0.5, 0, 0, 0))
-    with pytest.raises(ValueError, match="u gate"):
-        Gate("u", (1,), (0.5,))
+    with pytest.raises(ValueError):
+        c.swap(1, 2)
+    assert c.size == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_emitters_refuse_non_finite_parameters(bad):
+    # dumps would write such a row as text that loads refuses
+    c = Circuit(2)
+    c.u(0, 0.5)
+    for emit in (lambda: c.u(1, 0.5, bad), lambda: c.ry(0, bad),
+                 lambda: c.phase(1, bad), lambda: c.u(0, 0.5, 0, 0, bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            emit()
+    assert c.size == 1 and c.param_rows == ((0.5, 0.0, 0.0, 0.0),)
+
+
+def test_huge_finite_parameters_round_trip():
+    big = 1.7e308
+    c = Circuit(1)
+    c.u(0, big, -big, big, -big)
+    c.u(0, big, -big, big, -big)
+    text = dumps(c)
+    back = loads(text)
+    assert back.gates == c.gates and dumps(back) == text
 
 
 def test_text_format_roundtrip_bit_exact():
@@ -279,7 +300,7 @@ def test_loads_rejects_garbage():
 def test_dumps_keeps_signed_zeros():
     c = Circuit(1)
     c.u(0, 0.0)
-    c.extend(inverse(c).gates)
+    c.extend(inverse(c))
     text = dumps(c)
     assert text == "QUBITS 1\nU 0 0 0 0 0\nU 0 -0 -0 -0 -0\n"
     back = loads(text)
@@ -297,21 +318,27 @@ def test_loads_checks_every_distinct_line_and_shares_repeats():
     # point at it
     assert back.param_rows == ((0.5, 0.0, 0.0, 0.0),)
     assert back.columns()[3].tolist() == [-1, 0, -1, 0]
-    assert back.gates == [cx_gate(0, 1), u_gate(1, 0.5)] * 2
+    assert list(back.gates) == [("cx", (0, 1), ()),
+                                ("u", (1,), (0.5, 0.0, 0.0, 0.0))] * 2
 
 
 def test_constructor_checks_qubit_range():
     # a gate outside [0, n) would dump as text that loads refuses
+    c = Circuit(2)
     with pytest.raises(ValueError, match="gate index 5 out of range"):
-        Circuit(2, [cx_gate(0, 1), cx_gate(0, 5)])
+        c.cx(0, 5)
     with pytest.raises(ValueError, match="gate index -1 out of range"):
-        Circuit(2, [u_gate(-1, 0.5)])
+        c.u(-1, 0.5)
     wide = Circuit(6)
     wide.cx(0, 5)
     with pytest.raises(ValueError, match="gate index 5 out of range"):
-        Circuit(2).extend(wide)
-    ok = Circuit(2, [cx_gate(1, 0), u_gate(1, 0.5)])
-    assert loads(dumps(ok)).gates == ok.gates
+        c.extend(wide)
+    # a wider circuit whose gates all lie in range is taken whole
+    narrow = Circuit(6)
+    narrow.cx(1, 0)
+    narrow.u(1, 0.5)
+    c.extend(narrow)
+    assert c.size == 2 and loads(dumps(c)).gates == c.gates
 
 
 def _random_circuit(n, size, seed):
@@ -412,8 +439,40 @@ def test_validate_connectivity_matches_has_edge(graph):
             b = a + 1 if a + 1 < n else a - 1
         c.cx(a, b)
         if not graph.has_edge(a, b):
-            want.append((i, cx_gate(a, b)))
+            want.append(i)
     got = validate_connectivity(c, graph)
     assert got == want
     if graph.rows is not None:
         assert 0 < len(want) < c.size
+
+
+@pytest.mark.parametrize("make,graph", [
+    (lambda: synth_alltoall(64, 4)[0], ConnectivityGraph.complete(64)),
+    (lambda: synth_grid(4, 6, 3)[0], ConnectivityGraph.grid(4, 6))],
+    ids=["complete", "grid"])
+def test_gates_view_reader_contract(make, graph):
+    # what the benchmark pipeline reads from a circuit: the gates' kinds
+    # and count, view equality across a text round trip, and the result
+    # of validate_connectivity under len() and == []
+    c = make()
+    kinds = [g.kind for g in c.gates]
+    assert set(kinds) == {"u", "cx"} and len(kinds) == c.size == len(c.gates)
+    text = dumps(c)
+    assert loads(text).gates == c.gates
+    off = validate_connectivity(c, graph)
+    assert off == [] and len(off) == 0
+    # one edited parameter row, then one edited qubit
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("U "))
+    words = lines[at].split()
+    words[2] = repr(float(words[2]) + 0.5)
+    other_row = [*lines[:at], " ".join(words), *lines[at + 1:]]
+    at = next(i for i, line in enumerate(lines) if line.startswith("CX "))
+    a, b = map(int, lines[at].split()[1:])
+    q = max(set(range(c.num_qubits)) - {a, b})
+    other_qubit = [*lines[:at], f"CX {a} {q}", *lines[at + 1:]]
+    for edited in (other_row, other_qubit):
+        assert loads("\n".join(edited)).gates != c.gates
+    off = validate_connectivity(loads("\n".join(other_qubit)), graph)
+    assert len(off) == (not graph.has_edge(a, q))
+    assert (off == []) == graph.has_edge(a, q)

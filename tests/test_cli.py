@@ -81,13 +81,17 @@ def test_synth_symmetric_rejects_unnormalized(tmp_path):
                 "--symmetric", str(amp)]) == 2
 
 
-@pytest.mark.parametrize("text", ["0.5 abc\n0.5 0\n0.5 0\n", None])
-def test_synth_symmetric_unreadable_amplitudes(tmp_path, text):
+@pytest.mark.parametrize("text", ["0.5 abc\n0.5 0\n0.5 0\n", None,
+                                  b"\xff 0\n0.5 0\n0.5 0\n"])
+def test_synth_symmetric_unreadable_amplitudes(tmp_path, capsys, text):
     amp = tmp_path / "alpha.txt"  # None: the file does not exist
-    if text is not None:
+    if isinstance(text, bytes):
+        amp.write_bytes(text)     # not UTF-8
+    elif text is not None:
         amp.write_text(text)
     assert run(["synth", "--topology", "complete", "--n", "6", "--k", "2",
                 "--symmetric", str(amp)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("text", ["nan 0\n1 0\n0 0\n", "1 0\n0 nan\n0 0\n",

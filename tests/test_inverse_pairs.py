@@ -21,7 +21,7 @@ def inverse_pairs(c):
         if not before and i is not None and c.gates[i].qubits == g.qubits:
             h = c.gates[i]
             if h.kind == g.kind == "cx" or (h.kind == g.kind == "u" and np.abs(
-                    gate_matrix(g) @ gate_matrix(h) - np.eye(2)).max() < 1e-12):
+                    gate_matrix(g.params) @ gate_matrix(h.params) - np.eye(2)).max() < 1e-12):
                 pairs.append((i, j))
         for q in g.qubits:
             last[q] = j

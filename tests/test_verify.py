@@ -26,7 +26,7 @@ def _dense_simulate(c, psi):
             sub[...] = np.flip(sub, axis=axis).copy()
         else:
             (targ,) = g.qubits
-            psi = np.tensordot(gate_matrix(g), psi,
+            psi = np.tensordot(gate_matrix(g.params), psi,
                                axes=([1], [n - 1 - targ]))
             psi = np.moveaxis(psi, 0, n - 1 - targ)
     return psi.reshape(1 << n)
