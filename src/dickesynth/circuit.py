@@ -25,6 +25,7 @@ import array
 import cmath
 import itertools
 import math
+import operator
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -205,6 +206,8 @@ class Circuit:
         self._chunks.append(cols)
 
     def u(self, target, theta, phi=0.0, lam=0.0, gamma=0.0):
+        # operator.index refuses a float qubit instead of truncating it
+        target = operator.index(target)
         if not 0 <= target < self.num_qubits:
             raise ValueError(f"gate index {target} out of range")
         self._buf.extend((_U, target, -1, self._params.add(
@@ -220,6 +223,7 @@ class Circuit:
         self.u(target, 0.0, 0.0, delta)
 
     def cx(self, control, target):
+        control, target = operator.index(control), operator.index(target)
         if control == target:
             raise ValueError("cnot control equals target")
         for q in (control, target):

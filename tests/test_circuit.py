@@ -341,6 +341,25 @@ def test_constructor_checks_qubit_range():
     assert c.size == 2 and loads(dumps(c)).gates == c.gates
 
 
+@pytest.mark.parametrize("emit", [lambda c: c.u(1.5, 0.3),
+                                  lambda c: c.cx(0.7, 2),
+                                  lambda c: c.cx(0, 2.0),
+                                  lambda c: c.x(np.float64(1.0))])
+def test_emitters_refuse_float_qubits(emit):
+    # int64 columns would truncate a float qubit to a different gate
+    c = Circuit(3)
+    with pytest.raises(TypeError):
+        emit(c)
+    assert c.size == 0
+
+
+def test_emitters_take_numpy_integer_qubits():
+    c = Circuit(3)
+    c.u(np.int64(1), 0.5)
+    c.cx(np.int32(0), np.uint8(2))
+    assert dumps(c) == "QUBITS 3\nU 1 0.5 0 0 0\nCX 0 2\n"
+
+
 def _random_circuit(n, size, seed):
     rng = np.random.default_rng(seed)
     c = Circuit(n)

@@ -141,17 +141,80 @@ def test_verify_reports_fidelity_lines(tmp_path, capsys):
     assert all("ok" in l for l in lines)
 
 
+def _corrupt_first_angle(path):
+    """Add 0.5 to the theta of the first U line of a circuit file."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("U "))
+    parts = lines[i].split()
+    parts[2] = repr(float(parts[2]) + 0.5)
+    lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_verify_corrupted_circuit_fails(tmp_path):
     out = synth_file(tmp_path, ["complete"], 8, 2)
-    lines = out.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("U "):
-            parts = line.split()
-            parts[2] = repr(float(parts[2]) + 0.5)
-            lines[i] = " ".join(parts)
-            break
-    out.write_text("\n".join(lines) + "\n")
+    _corrupt_first_angle(out)
     assert run(["verify", "--circuit", str(out), "--n", "8", "--k", "2"]) == 3
+
+
+def test_verify_all_ell_fault_matches_dense_per_weight(tmp_path, capsys):
+    # one angle off: every weight runs in the same sweep, so each printed
+    # fidelity must still be its own weight's dense value on that circuit
+    out = synth_file(tmp_path, ["complete"], 10, 3)
+    _corrupt_first_angle(out)
+    assert run(["verify", "--circuit", str(out), "--n", "10", "--k", "3",
+                "--all-ell"]) == 3
+    faulty = loads(out.read_text())
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == [
+        f"ell={ell}" for ell in range(4)]
+    fids = [float(line.split("fidelity=")[1].split()[0]) for line in printed]
+    dense = [fidelity(simulate(faulty, (1 << ell) - 1),
+                      dicke_reference(10, ell)) for ell in range(4)]
+    # printed with 12 decimals, so within 5e-13 of the value it rounds
+    assert np.max(np.abs(np.subtract(fids, dense))) <= 1e-12
+    assert any(f < 1 - 1e-8 for f in fids)
+    assert [line.endswith("FAIL") for line in printed] == [
+        f < 1 - 1e-8 for f in dense]
+
+
+def test_verify_without_np_unique(tmp_path, monkeypatch, capsys):
+    out = synth_file(tmp_path, ["grid", "2x4"], 8, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+    monkeypatch.setattr(np, "unique", refuse)
+    assert run(["verify", "--circuit", str(out), "--n", "8", "--k", "2",
+                "--all-ell"]) == 0
+    assert capsys.readouterr().out.count(" ok") == 3
+
+
+def _sweeps(monkeypatch, tmp_path, n, k):
+    """The weights of each _evolve call that verify --all-ell makes."""
+    import dickesynth.verify as verify
+    real, sweeps = verify._evolve, []
+
+    def counted(c, idx, amp):
+        sweeps.append(sorted((idx >> n).tolist()))
+        return real(c, idx, amp)
+    out = synth_file(tmp_path, ["complete"], n, k)
+    monkeypatch.setattr(verify, "_evolve", counted)
+    assert run(["verify", "--circuit", str(out), "--n", str(n),
+                "--k", str(k), "--all-ell"]) == 0
+    return sweeps
+
+
+def test_verify_all_ell_is_one_sweep(tmp_path, monkeypatch):
+    assert _sweeps(monkeypatch, tmp_path, 16, 2) == [[0, 1, 2]]
+
+
+def test_verify_all_ell_sweeps_stay_within_half_weight_support(
+        tmp_path, monkeypatch):
+    sweeps = _sweeps(monkeypatch, tmp_path, 20, 10)
+    assert len(sweeps) > 1
+    assert sorted(ell for sweep in sweeps for ell in sweep) == list(range(11))
+    for sweep in sweeps:
+        assert sum(math.comb(20, ell) for ell in sweep) <= math.comb(20, 10)
 
 
 def test_verify_vacuous_tolerance(tmp_path, capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from dickesynth.circuit import Circuit, gate_matrix
 from dickesynth.synth import prepare_dicke
-from dickesynth.verify import (basis_state, dicke_reference, fidelity,
-                               partial_trace, simulate,
-                               two_qubit_separability)
+from dickesynth.verify import (basis_state, dicke_fidelities,
+                               dicke_reference, fidelity, partial_trace,
+                               simulate, two_qubit_separability)
 
 
 def _dense_simulate(c, psi):
@@ -69,10 +69,45 @@ ORACLE_TOL = 1e-12
 def test_sparse_matches_dense_oracle_on_dicke_unitaries(topology, dims, k):
     c = prepare_dicke(topology, dims, k)
     n = c.num_qubits
-    for ell in range(k + 1):
+    # every weight's fidelity from one tagged sweep, taken on the support
+    swept = list(dicke_fidelities(c, range(k + 1)))
+    assert [ell for ell, _ in swept] == list(range(k + 1))
+    for ell, f in swept:
         want = _dense_simulate(c, basis_state(n, (1 << ell) - 1))
         got = simulate(c, (1 << ell) - 1)
         assert np.max(np.abs(got - want)) <= ORACLE_TOL
+        assert abs(f - fidelity(got, dicke_reference(n, ell))) <= ORACLE_TOL
+
+
+def test_dicke_fidelities_refuses_bad_weights():
+    c = Circuit(4)
+    for ells in ([5], [-1], [1, 1]):
+        with pytest.raises(ValueError, match="distinct"):
+            list(dicke_fidelities(c, ells))
+    # n + bit_length(ell) must stay <= 62, so the tag fits in int64
+    with pytest.raises(ValueError, match="tag"):
+        list(dicke_fidelities(Circuit(60), [4]))
+    assert list(dicke_fidelities(Circuit(59), [4])) == [
+        (4, 1 / math.comb(59, 4))]
+
+
+def test_simulate_starts_a_basis_input_from_one_index(monkeypatch):
+    import dickesynth.verify as verify
+    real, inputs = verify._evolve, []
+
+    def counted(c, idx, amp):
+        inputs.append(idx.tolist())
+        return real(c, idx, amp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+    monkeypatch.setattr(verify, "_evolve", counted)
+    monkeypatch.setattr(np, "unique", refuse)
+    c = prepare_dicke("grid", (3, 4), 2)
+    out = simulate(c)
+    assert fidelity(out, dicke_reference(12, 2)) > 1 - 1e-10
+    assert np.array_equal(simulate(c, "000000000101"), simulate(c, 5))
+    assert inputs == [[0], [5], [5]]
 
 
 def test_sparse_matches_dense_oracle_on_dense_input():
