@@ -6,9 +6,8 @@ ones occupying qubits 0..l-1:
 
 * ``synth_alltoall``: recursive halving on unrestricted connectivity. A
   block takes the ancilla-accelerated divide, run on its own idle qubits,
-  while it has the 2k of them that divide needs; a smaller one takes the
-  path conveyor where that is shallower than the ladder, and the ladder
-  otherwise.
+  while it has the max(k - 1, 1) of them that divide needs, and the
+  ladder otherwise.
 * ``synth_grid``: 2D nearest-neighbor synthesis; a slab-register bisection
   with the conveyor divide when the grid is tall enough (k >= n2/n1) and a
   left-to-right column-group sweep otherwise. The sweep's g groups balance
@@ -53,9 +52,8 @@ __all__ = [
 class PlanNode:
     """One divide step of a synthesis recursion. ``variant`` names the
     divide that ran: "ancilla" (``divide_unitary_ancilla`` on the node's
-    idle qubits; all-to-all blocks of 4k qubits or more) or "path" (the
-    nearest-neighbor conveyor; every grid node, and all-to-all blocks
-    where it beats the ladder). ``depth``, ``size`` and ``cx`` are the ASAP
+    idle qubits; every all-to-all node) or "path" (the nearest-neighbor
+    conveyor; every grid node). ``depth``, ``size`` and ``cx`` are the ASAP
     depth, gate count and CNOT count of the template placed at the node; a
     grid node's cover the divide and the slab route that follows it."""
 
@@ -80,8 +78,8 @@ class PlanNode:
 class PlanConversion:
     """A unary <-> one-hot conversion of a count register that the
     all-to-all recursion places outside its divide nodes: ``u_uo`` before
-    a root ancilla divide, ``inverse(u_uo)`` before a conveyor or ladder
-    under an ancilla divide. ``depth``, ``size`` and ``cx`` are its ASAP
+    a root ancilla divide, ``inverse(u_uo)`` before a ladder under an
+    ancilla divide. ``depth``, ``size`` and ``cx`` are its ASAP
     depth, gate count and CNOT count."""
 
     name: str
@@ -204,8 +202,10 @@ def _pack_rows(k: int, anc: list, s1: list, s2: list) -> list:
 
 def divide_unitary_ancilla(spec: DivideSpec, ancilla,
                            num_qubits: int) -> Circuit:
-    """One-hot divide unitary D^{n,m}_k using N >= 2k clean ancilla,
-    restored on exit; fewer raise ValueError.
+    """One-hot divide unitary D^{n,m}_k using N >= max(k - 1, 1) clean
+    ancilla, restored on exit; fewer raise ValueError. A batch that holds
+    row k alone takes its k - 1 middle slots, so the floor is the
+    narrowest batch that fits.
 
     The count l <= k arrives one-hot on S2: flag qubit s2[l-1] (no flag
     for l = 0). The divide leaves sum_i w_i(l) |e_i>_S1 |e_{l-i}>_S2,
@@ -238,8 +238,8 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla,
         raise ValueError("ancilla overlaps data registers")
     if len(set(anc)) != len(anc):
         raise ValueError("duplicate ancilla index")
-    if len(anc) < 2 * k:
-        raise ValueError(f"need {2 * k} ancilla, got {len(anc)}")
+    if len(anc) < max(k - 1, 1):
+        raise ValueError(f"need {max(k - 1, 1)} ancilla, got {len(anc)}")
     s1 = list(spec.left)
     s2 = list(spec.right)
     c = Circuit(num_qubits)
@@ -292,19 +292,15 @@ def synth_alltoall(n: int, k: int) -> tuple:
     instead finish on the linear ladder. The blocks of a layer are
     identical, so one template is built per block size and placed on
     every block of that size. A block of nn qubits takes the
-    ancilla-accelerated divide when its nn - 2k idle qubits hold the 2k
-    ancilla divide_unitary_ancilla needs (nn >= 4k). A block of
-    2k < nn < 4k takes the path conveyor divide_unitary_path when the
-    conveyor, _conveyor_depth(k) layers, is shallower than the ladder it
-    saves on the upper half, _ladder_slope(k) floor(nn/2) layers: its
-    halves, below 2k qubits, take the ladder. Every other block takes the
-    ladder. Depth is O(log k log(n/k) + k).
+    ancilla-accelerated divide when its nn - 2k idle qubits hold the
+    max(k - 1, 1) ancilla divide_unitary_ancilla needs, and the ladder
+    otherwise. Depth is O(log k log(n/k) + k).
 
-    The ancilla divide takes and leaves the count one-hot; the conveyor
-    and the ladder take it in unary. So u_uo runs once on qubits 0..k-1
-    before a root ancilla divide, and each conveyor or ladder under an
-    ancilla divide gets inverse(u_uo) on its count register just before
-    it. The plan records each conversion as a PlanConversion."""
+    The ancilla divide takes and leaves the count one-hot; the ladder
+    takes it in unary. So u_uo runs once on qubits 0..k-1 before a root
+    ancilla divide, and each ladder under an ancilla divide gets
+    inverse(u_uo) on its count register just before it. The plan records
+    each conversion as a PlanConversion."""
     if not 1 <= k <= n // 2:
         raise ValueError("require 1 <= k <= n/2")
     g = ConnectivityGraph.complete(n)
@@ -314,31 +310,30 @@ def synth_alltoall(n: int, k: int) -> tuple:
     from_onehot = inverse(to_onehot)
     conv_stats = _stats(to_onehot)
     # block size -> (variant, placed template, its depth, size, CNOTs);
-    # variant "ancilla" or "path" divides, "ladder" ends the block
+    # variant "ancilla" divides, "ladder" ends the block
     chosen: dict = {}
 
     def choose(nn: int) -> tuple:
         if nn not in chosen:
             half = nn // 2
-            spec = DivideSpec(n=nn, m=nn - half, k=k,
-                              left=tuple(range(half, half + k)),
-                              right=tuple(range(k))) if nn > 2 * k else None
-            if nn - 2 * k >= 2 * k:   # the divide's 2k idle qubits fit
+            if nn - 2 * k >= max(k - 1, 1):   # the divide's ancilla fit
+                spec = DivideSpec(n=nn, m=nn - half, k=k,
+                                  left=tuple(range(half, half + k)),
+                                  right=tuple(range(k)))
                 idle = tuple(range(k, half)) + tuple(range(half + k, nn))
                 template = divide_unitary_ancilla(spec, idle, num_qubits=nn)
                 chosen[nn] = ("ancilla", template, *_stats(template))
-            elif nn > 2 * k and _conveyor_depth(k) < _ladder_slope(k) * half:
-                template = divide_unitary_path(spec)
-                chosen[nn] = ("path", template, *_stats(template))
             else:
                 chosen[nn] = ("ladder", dicke_unitary_path(nn, k))
         return chosen[nn]
 
-    def rec(base: int, nn: int, layer: int, onehot: bool) -> None:
+    def rec(base: int, nn: int, layer: int) -> None:
         variant, placed, *stats = choose(nn)
         # remap_qubits checks the offset map once, then gathers the
         # template's qubit columns through it
         shift = range(base, base + nn)
+        # the count arrives in unary at the root, one-hot under a divide
+        onehot = layer > 1
         if onehot != (variant == "ancilla"):
             # convert the count to the form the block's variant takes
             name, conv = (("inverse(u_uo)", from_onehot) if onehot
@@ -355,10 +350,10 @@ def synth_alltoall(n: int, k: int) -> tuple:
         s1 = tuple(range(base + half, base + half + k))
         plan.recursion_tree.append(PlanNode(layer, nn, nn - half, s1, s2,
                                             variant, *stats))
-        rec(base, half, layer + 1, variant == "ancilla")
-        rec(base + half, nn - half, layer + 1, variant == "ancilla")
+        rec(base, half, layer + 1)
+        rec(base + half, nn - half, layer + 1)
 
-    rec(0, n, 1, False)   # the count arrives in unary
+    rec(0, n, 1)
     return c, plan
 
 

@@ -107,7 +107,7 @@ def test_criterion_02_divide_unitary_coefficients():
                                   right=list(range(k, 2 * k)))
                 err = max(err, _divide_entrywise_error(
                     divide_unitary_path(spec), n, m, k))
-                nq = 2 * k + (2 * k + 2)   # accelerated branch: N >= 2k
+                nq = 2 * k + (2 * k + 2)   # accelerated branch, 2k + 2 ancilla
                 c = _unary_divide_ancilla(spec, range(2 * k, nq), nq)
                 err = max(err, _divide_entrywise_error(c, n, m, k))
     report(2, f"divide coefficients, max err={err:.3e}", err <= 1e-10)

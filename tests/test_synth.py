@@ -122,8 +122,8 @@ def _rows_budget(k, p):
     batch: the widest takes its k-1 middle slots, every other row l takes
     3(l-1) (its slots and two (l-1)-wide copies of S1 and S2). Narrower
     rows cost less, so every batch but the last then holds at least p
-    rows. No divide takes fewer than 2k."""
-    return max(2 * k, k - 1 + 3 * sum(ell - 1 for ell in range(k - p + 1, k)))
+    rows. No divide takes fewer than max(k - 1, 1)."""
+    return max(1, k - 1 + 3 * sum(ell - 1 for ell in range(k - p + 1, k)))
 
 
 @pytest.mark.parametrize("k,p", [(k, p) for k in (1, 2, 3, 4, 5)
@@ -231,18 +231,32 @@ def test_divide_ancilla_bottom_level_depth(nn, k, depth):
 
 
 def test_alltoall_depth_target():
-    for n, k, depth in [(1024, 8, 580), (512, 16, 1064)]:
+    # off powers of two, some blocks divide on fewer than 2k idle qubits
+    for n, k, depth in [(1024, 8, 580), (512, 16, 1064), (768, 8, 559),
+                        (96, 8, 442), (200, 30, 1751), (24, 8, 335)]:
         c, _ = synth_alltoall(n, k)
         assert asap_layering(c).depth <= depth, (n, k)
 
 
-def test_divide_ancilla_small_budget_delegates_to_conveyor():
-    # N < 2k is refused; synth_alltoall gives such a block the ladder
-    k = 2
-    spec = aa_spec(6, 3, k)
-    with pytest.raises(ValueError):
-        divide_unitary_ancilla(spec, range(2 * k, 4 * k - 1),
-                               num_qubits=4 * k - 1)
+def test_divide_ancilla_small_budget_is_refused():
+    # N < max(k - 1, 1) is refused; synth_alltoall gives such a block the
+    # ladder
+    for k in range(1, 9):
+        floor = max(k - 1, 1)
+        spec, idle = _top_spec(2 * k + floor, k)
+        assert len(idle) == floor
+        with pytest.raises(ValueError, match=f"need {floor} ancilla"):
+            divide_unitary_ancilla(spec, idle[1:], num_qubits=2 * k + floor)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_divide_ancilla_exact_at_floor(k):
+    # the smallest block synth_alltoall divides: exactly max(k - 1, 1)
+    # idle qubits, the fewest the divide takes
+    floor = max(k - 1, 1)
+    spec, idle = _top_spec(2 * k + floor, k)
+    assert len(idle) == floor
+    assert _ancilla_divide_error(_top_divide(2 * k + floor, k), spec) < 1e-12
 
 
 # --- all-to-all synthesis ------------------------------------------------------
@@ -279,8 +293,8 @@ def test_alltoall_plan_structure():
 
 
 def test_plan_records_divide_variant_that_ran():
-    # blocks of 4k qubits or more take the ancilla divide; every grid node
-    # is a conveyor
+    # every all-to-all node is the ancilla divide; every grid node is a
+    # conveyor
     for n, k in [(64, 2), (256, 2), (1024, 8)]:
         _, plan = synth_alltoall(n, k)
         assert plan.recursion_tree
@@ -345,9 +359,12 @@ def test_plan_nodes_record_cx(make):
 
 
 def _alltoall_every_ladder(n, k):
-    """Oracle for synth_alltoall: the same depth-scored choice per block
-    size, with the ladder built and scored at every size, and the path
-    conveyor at every size that can divide."""
+    """Oracle for synth_alltoall: a depth-scored choice per block size,
+    with the ladder built and scored at every size, the ancilla divide at
+    every size whose idle qubits hold its max(k - 1, 1) ancilla, and the
+    path conveyor at every size that can divide. synth_alltoall scores
+    nothing and never places the conveyor, so matching this oracle shows
+    that its two-way rule loses no depth to the conveyor."""
     chosen = {}
 
     def choose(nn):
@@ -360,7 +377,7 @@ def _alltoall_every_ladder(n, k):
                                   right=tuple(range(k)))
                 idle = tuple(range(k, half)) + tuple(range(half + k, nn))
                 below = max(choose(half)[0], choose(nn - half)[0])
-                if len(idle) >= 2 * k:
+                if len(idle) >= max(k - 1, 1):
                     options.append((divide_unitary_ancilla(
                         spec, idle, num_qubits=nn), below, "ancilla"))
                 options.append((divide_unitary_path(spec), below, "path"))
@@ -392,10 +409,13 @@ def _alltoall_every_ladder(n, k):
     return c
 
 
+# for k >= 2, a block of 3k - 2 qubits falls just below the ancilla floor
+# and one of 3k - 1 sits on it
 ORACLE_POINTS = [(n, k) for k in (1, 2, 3, 4, 8, 16)
-                 for n in sorted({2 * k, 2 * k + 1, 3 * k + 1, 4 * k - 1,
-                                  4 * k, 4 * k + 1, 5 * k + 2, 8 * k - 1,
-                                  8 * k, 16 * k + 3, 100, 256})
+                 for n in sorted({2 * k, 2 * k + 1, 3 * k - 2, 3 * k - 1,
+                                  3 * k + 1, 4 * k - 1, 4 * k, 4 * k + 1,
+                                  5 * k + 2, 8 * k - 1, 8 * k, 16 * k + 3,
+                                  100, 256})
                  if 2 * k <= n <= 256]
 
 
@@ -444,8 +464,10 @@ def _dicke_faults(c, n, k):
     return faults
 
 
-@pytest.mark.parametrize("n,k", [(24, 3), (32, 2), (40, 4), (48, 3),
-                                 (64, 2)])
+# (24,4) and (30,5) divide their n/2-qubit blocks on fewer than 2k idle
+# qubits
+@pytest.mark.parametrize("n,k", [(24, 3), (24, 4), (30, 5), (32, 2),
+                                 (40, 4), (48, 3), (64, 2)])
 def test_alltoall_exact_above_simulator_cap(n, k):
     c, plan = synth_alltoall(n, k)
     assert plan.recursion_tree
@@ -475,7 +497,7 @@ def test_alltoall_dropped_conversion_is_caught():
 
 @pytest.mark.parametrize("k", list(range(1, 13)) + [16, 32])
 def test_conveyor_depth_is_the_emitted_depth(k):
-    # the selection rules price the conveyor without building it
+    # the wide grid's balance rule prices the conveyor without building it
     for nn in sorted({2 * k, 2 * k + 1, 4 * k - 1} if k <= 12 else {2 * k}):
         spec = DivideSpec(n=nn, m=nn - nn // 2, k=k,
                           left=tuple(range(k, 2 * k)), right=tuple(range(k)))
@@ -492,39 +514,39 @@ def test_ladder_slope_is_the_emitted_slope(k):
         assert depth(nn + 1) - depth(nn) == _ladder_slope(k), nn
 
 
-def test_alltoall_conveyor_divides_where_shallower():
-    # at k = 3 the conveyor (75 layers) and the upper half's ladder are
-    # shallower than the whole ladder on blocks of 10 and 11 qubits: 132
-    # against 137 layers and 148 against 153, which ASAP layering
-    # overlaps to 142
-    for n, depth in [(10, 132), (11, 142)]:
+def test_alltoall_ancilla_divides_above_floor():
+    # blocks of 10 and 11 qubits at k = 3 hold the divide's 2 ancilla
+    for n, depth in [(10, 93), (11, 100)]:
         c, plan = synth_alltoall(n, 3)
-        assert [node.variant for node in plan.recursion_tree] == ["path"]
-        assert plan.conversions == []   # the count stays in unary
+        assert [node.variant for node in plan.recursion_tree] == ["ancilla"]
+        assert [(r.name, r.qubits) for r in plan.conversions] == [
+            ("u_uo", (0, 1, 2)), ("inverse(u_uo)", (0, 1, 2)),
+            ("inverse(u_uo)", (5, 6, 7))]
         assert asap_layering(c).depth <= depth
         assert _dicke_faults(c, n, 3) == []
-    # under an ancilla divide the conveyor gets inverse(u_uo), and the
-    # ladders under it none
     c, plan = synth_alltoall(23, 3)
     assert [(node.n_node, node.variant) for node in plan.recursion_tree] == [
-        (23, "ancilla"), (11, "path"), (12, "ancilla")]
+        (23, "ancilla"), (11, "ancilla"), (12, "ancilla")]
     assert [(r.name, r.qubits) for r in plan.conversions] == [
         ("u_uo", (0, 1, 2)), ("inverse(u_uo)", (0, 1, 2)),
-        ("inverse(u_uo)", (11, 12, 13)), ("inverse(u_uo)", (17, 18, 19))]
+        ("inverse(u_uo)", (5, 6, 7)), ("inverse(u_uo)", (11, 12, 13)),
+        ("inverse(u_uo)", (17, 18, 19))]
+    assert asap_layering(c).depth <= 124
     assert _dicke_faults(c, 23, 3) == []
 
 
 def test_alltoall_large_k_delegates_to_ladder():
-    # 8 - 2k = 2 idle qubits hold no divide's 2k ancilla: only the ladder fits
-    c, plan = synth_alltoall(8, 3)
+    # 7 - 2k = 1 idle qubit holds no divide's k - 1 = 2 ancilla: only the
+    # ladder fits
+    c, plan = synth_alltoall(7, 3)
     assert plan.recursion_tree == []
     for ell in range(4):
-        out = simulate(c, unary_index(ell, 8))
-        assert fidelity(out, dicke_reference(8, ell)) > 1 - 1e-8
+        out = simulate(c, unary_index(ell, 7))
+        assert fidelity(out, dicke_reference(7, ell)) > 1 - 1e-8
 
 
-# (24,8), (14,3) and (16,3) have block sizes 2k < nn < 4k that take the
-# ladder; (23,3) places a conveyor on its 11-qubit blocks
+# (14,3) has blocks below the ancilla floor that take the ladder; (24,8),
+# (16,3) and (23,3) divide blocks whose idle qubits are fewer than 2k
 @pytest.mark.parametrize("n,k", [(1024, 8), (512, 16), (24, 8), (14, 3),
                                  (16, 3), (23, 3)])
 def test_alltoall_builds_only_placed_templates(monkeypatch, n, k):
@@ -544,12 +566,12 @@ def test_alltoall_builds_only_placed_templates(monkeypatch, n, k):
     monkeypatch.setattr(synth, "divide_unitary_path",
                         recorded(conveyors, divide_unitary_path))
     _, plan = synth_alltoall(n, k)
-    # each template built is placed, and built once per block size
+    # each template built is placed, and built once per block size; no
+    # conveyor is built
     assert sorted(ladders) == sorted({len(u) for u in plan.tail_units})
-    for built, variant in [(divides, "ancilla"), (conveyors, "path")]:
-        assert sorted(spec.n for spec in built) == sorted(
-            {node.n_node for node in plan.recursion_tree
-             if node.variant == variant})
+    assert sorted(spec.n for spec in divides) == sorted(
+        {node.n_node for node in plan.recursion_tree})
+    assert conveyors == []
 
 
 def test_alltoall_size_linear_in_nk():
@@ -917,7 +939,7 @@ DUMPS_SHA256 = {
         "ec3d67fd2da5b2148844567a5808cf680ea901b02543ab3a52b5c098dcd04835"),
     "prepare_symmetric(complete,8,3)": (
         lambda: prepare_symmetric("complete", 8, 3, [0.5] * 4),
-        "67085949b493f029108354b2a9b103460d899668d6f545cf63e5b6bc24e8eeb2"),
+        "9e42b2c2d9d1bc27787917b16cb0b2a13b4c54d3614b4f13d81120b16ed22743"),
     "prepare_dicke(grid,(2,4),2)": (
         lambda: prepare_dicke("grid", (2, 4), 2),
         "0c08cfdee67392766e4424dc0897332cf16bf90182dbff49fd68ecb154bf5b70"),
