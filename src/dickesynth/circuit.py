@@ -497,14 +497,14 @@ _TEXT_BLOCK = 1 << 18
 
 def loads(text: str) -> Circuit:
     """Parse the text format. Raises ValueError on a malformed line: a
-    wrong operand count, a qubit outside [0, QUBITS), a non-finite U
-    parameter, or a QUBITS header that is missing, repeated or not
-    positive. Each distinct gate line is parsed and checked once per call
-    and its repeats gather its columns; a U line's four parameters are
-    parsed once per distinct spelling. The memos are keyed on the exact
-    line and the exact words, so every spelling that differs in any
-    character (a sign of zero included) is parsed and checked on its
-    own."""
+    wrong operand count, a qubit outside [0, QUBITS) (or past int64), a
+    non-finite U parameter, or a QUBITS header that is missing, repeated
+    or not a positive int64. Each distinct gate line is parsed and checked
+    once per call and its repeats gather its columns; a U line's four
+    parameters are parsed once per distinct spelling. The memos are keyed
+    on the exact line and the exact words, so every spelling that differs
+    in any character (a sign of zero included) is parsed and checked on
+    its own."""
     num_qubits = None
     params = _ParamTable()
     row_of: dict = {}    # the four parameter words of a U line -> its row
@@ -526,25 +526,31 @@ def loads(text: str) -> Circuit:
             row = row_of.get(spelled)
             if row is None:
                 row = row_of[spelled] = params.add(tuple(map(float, spelled)))
-            distinct.extend((_U, int(tok[1]), -1, row))
+            gate = (_U, int(tok[1]), -1, row)
         elif head == "CX":
             if len(tok) != 3:
                 raise ValueError(f"CX takes two qubits: {raw!r}")
             a, b = int(tok[1]), int(tok[2])
             if a == b:
                 raise ValueError("cnot control equals target")
-            distinct.extend((_CX, a, b, -1))
+            gate = (_CX, a, b, -1)
         elif head == "QUBITS":
             if num_qubits is not None:
                 raise ValueError("repeated QUBITS header")
             if len(tok) != 2 or int(tok[1]) < 1:
                 raise ValueError(f"QUBITS needs one positive count: {raw!r}")
             num_qubits = int(tok[1])
+            if num_qubits >> 63:
+                raise ValueError(f"QUBITS count outside int64: {raw!r}")
             continue
         elif head.startswith("#"):
             continue
         else:
             raise ValueError(f"unrecognized line: {raw!r}")
+        try:
+            distinct.extend(gate)
+        except OverflowError as e:
+            raise ValueError(f"gate qubit outside int64: {raw!r}") from e
         code = code_of[raw] = len(code_of)
         put(code)
     if num_qubits is None:

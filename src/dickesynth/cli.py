@@ -297,10 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None   # built on the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

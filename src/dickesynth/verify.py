@@ -1,12 +1,14 @@
 """State-vector verification utilities.
 
-Sparse-support little-endian simulator plus analytic reference states,
+Sparse-support little-endian simulator, which applies a circuit in fused
+runs of gates on at most 3 qubits, plus analytic reference states,
 fidelity, partial trace, and a two-qubit separability test
 (partial-transpose criterion, exact in dimension 2x2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,10 +58,12 @@ def simulate(c: Circuit, state=None) -> np.ndarray:
     The state is held on its support only: basis indices with their
     amplitudes. A basis input starts as one index, so only the output
     vector is dense; a state vector is reduced to its nonzero entries
-    first. A CNOT relabels indices; a single-qubit gate pairs each index
-    with its partner across the target bit, and amplitudes with
-    |a| <= 1e-14 are dropped. Dicke unitaries started from a unary input
-    reach about C(n, k) of the 2^n basis states.
+    first. The gates are applied in runs on at most 3 qubits: a run of
+    CNOTs relabels indices, and any other run multiplies each group of
+    indices that differ only on its qubits by the run's 2^q x 2^q
+    unitary, after which amplitudes with |a| <= 1e-14 are dropped. Dicke
+    unitaries started from a unary input reach about C(n, k) of the 2^n
+    basis states.
     """
     n = c.num_qubits
     if n > SIMULATOR_CAP:
@@ -134,42 +138,98 @@ def dicke_fidelities(c: Circuit, ells):
             yield ell, abs(total) ** 2 / math.comb(n, ell)
 
 
+# qubits per fused run. The Givens and split-and-shift blocks span 3
+# adjacent qubits, so on Dicke circuits width 2 saves almost no rounds;
+# 4 is no faster than 3, and 5 is slower, as each qubit doubles a group
+_RUN_WIDTH = 3
+
+
 def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray) -> tuple:
     """The kernel of simulate and dicke_fidelities: apply c to the state
     with amplitudes amp on the distinct basis indices idx, returning the
     new support and amplitudes in idx's integer dtype. It never builds a
     2^n vector, so it runs on up to 62 qubits with int64 indices, or 64
     with uint64, while the support stays small; bits above the circuit's
-    qubits pass through untouched. A single-qubit gate pairs each index
-    with its partner across the target bit by one stable argsort of the
-    indices with that bit cleared. It reads c's columns and builds each
-    parameter row's matrix once, on the first gate that uses it."""
+    qubits pass through untouched. It reads c's columns once and splits
+    the gates, in circuit order, into runs on at most _RUN_WIDTH qubits;
+    each run is applied as one small unitary by _apply_run. Each
+    parameter row's matrix is built once, on the first gate that uses
+    it."""
     rows = c.param_rows
     mats: dict = {}
-    for op, a, b, r in zip(*c.columns().tolist()):
-        if op:
+    run: list = []      # (op, a, b, row) of each gate of the open run
+    qubits: list = []   # the open run's qubits, in order of first use
+    for gate in zip(*c.columns().tolist()):
+        op, a, b, _ = gate
+        new = [q for q in ((a, b) if op else (a,)) if q not in qubits]
+        if len(qubits) + len(new) > _RUN_WIDTH:
+            idx, amp = _apply_run(run, qubits, idx, amp, rows, mats)
+            run, qubits = [], []
+            new = [a, b] if op else [a]
+        run.append(gate)
+        qubits += new
+    if run:
+        idx, amp = _apply_run(run, qubits, idx, amp, rows, mats)
+    return idx, amp
+
+
+def _apply_run(run, qubits, idx, amp, rows, mats) -> tuple:
+    """Apply the gates of run, on the q listed qubits, to the support. A
+    run of CNOTs only relabels the indices. Otherwise the run becomes one
+    2^q x 2^q unitary whose local index has bit j for qubits[j], and one
+    stable argsort of the indices with the run's bits cleared gathers
+    each group of up to 2^q indices that the run mixes into one row of a
+    (groups, 2^q) array; one matmul applies the unitary to every group,
+    and amplitudes with |a| <= 1e-14 are dropped."""
+    if all(op for op, _, _, _ in run):
+        for _, a, b, _ in run:
             idx = idx ^ (((idx >> a) & 1) << b)
+        return idx, amp
+    local = {q: j for j, q in enumerate(qubits)}
+    d = 1 << len(qubits)
+    u = np.eye(d, dtype=complex)
+    for op, a, b, r in run:
+        if op:
+            u = u[_cx_rows(d, local[a], local[b])]
             continue
         m = mats.get(r)
         if m is None:
-            m = mats[r] = gate_matrix(rows[r]).T
-        bit = idx.dtype.type(1 << a)
-        key = idx & ~bit
-        order = key.argsort(kind="stable")
-        key = key[order]
-        # new[j]: sorted entry j opens a pair; its cumsum numbers the pairs
-        new = np.empty(len(key), dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        # column 0 holds the target-bit-0 amplitude of each pair, column 1
-        # the target-bit-1 one; indices are distinct, so no two collide
-        half = np.zeros((np.count_nonzero(new), 2), dtype=complex)
-        half[new.cumsum() - 1, (idx[order] >> a) & 1] = amp[order]
-        amp = (half @ m).ravel()
-        idx = (key[new][:, None] | np.array([0, bit], dtype=idx.dtype)).ravel()
-        keep = np.abs(amp) > 1e-14
-        idx, amp = idx[keep], amp[keep]
-    return idx, amp
+            m = mats[r] = gate_matrix(rows[r])
+        # rows of u whose local bit j is 0 and 1 meet on the middle axis
+        j = local[a]
+        u = np.matmul(m, u.reshape(d >> (j + 1), 2, d << j)).reshape(d, d)
+    # spread[lo]: the bits local index lo sets; spread[-1] has them all
+    spread = [0]
+    for q in qubits:
+        spread += [bits | 1 << q for bits in spread]
+    spread = np.array(spread, dtype=idx.dtype)
+    key = idx & ~spread[-1]
+    order = np.argsort(key, kind="stable")
+    key, src = key[order], idx[order]
+    # new[i]: sorted entry i opens a group; its cumsum numbers the groups
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    col = np.zeros(len(src), dtype=src.dtype)
+    for j, q in enumerate(qubits):
+        col |= ((src >> q) & 1) << j
+    # indices are distinct, so no two entries share a (group, col) cell
+    group = np.zeros((np.count_nonzero(new), d), dtype=complex)
+    group[new.cumsum() - 1, col] = amp[order]
+    amp = (group @ u.T).ravel()
+    idx = (key[new][:, None] | spread).ravel()
+    keep = np.abs(amp) > 1e-14
+    return idx[keep], amp[keep]
+
+
+@functools.cache
+def _cx_rows(d: int, control: int, target: int) -> np.ndarray:
+    """The row permutation of a CNOT on local bits of a 2^q unitary: row
+    i of the product is row i ^ (bit target, when bit control is set)."""
+    i = np.arange(d)
+    rows = i ^ (((i >> control) & 1) << target)
+    rows.flags.writeable = False   # shared by every caller
+    return rows
 
 
 def dicke_reference(n: int, ell: int) -> np.ndarray:

@@ -407,14 +407,19 @@ def test_lightcone_fails_on_trivial_circuit(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("line", ["CX -1 0", "CX 0 7", "CX 0", "U 0 1.0",
-                                  "U 5 0 0 0 0", "U 0 nan 0 0 0",
-                                  "QUBITS 2", "DATA 0 1", "ANCILLA 1"])
+@pytest.mark.parametrize("text", [
+    *(pytest.param(f"QUBITS 2\n{line}\n", id=line)
+      for line in ["CX -1 0", "CX 0 7", "CX 0", "U 0 1.0", "U 5 0 0 0 0",
+                   "U 0 nan 0 0 0", "QUBITS 2", "DATA 0 1", "ANCILLA 1",
+                   "CX 0 99999999999999999999"]),
+    # a count past int64 in the header itself
+    pytest.param("QUBITS 100000000000000000000\nCX 0 1\n",
+                 id="QUBITS 100000000000000000000")])
 @pytest.mark.parametrize("command", [["verify", "--n", "2", "--k", "1"],
                                      ["lightcone", "--topology", "complete"]])
-def test_malformed_circuit_is_usage_error(tmp_path, line, command):
+def test_malformed_circuit_is_usage_error(tmp_path, text, command):
     f = tmp_path / "bad.qc"
-    f.write_text(f"QUBITS 2\n{line}\n")
+    f.write_text(text)
     assert run(command + ["--circuit", str(f)]) == 2
 
 
@@ -446,3 +451,19 @@ def test_lightcone_unknown_topology(tmp_path):
 
 def test_missing_subcommand_usage_error():
     assert run([]) == 2
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    real, calls = cli_module.build_parser, [0]
+
+    def counted():
+        calls[0] += 1
+        return real()
+    monkeypatch.setattr(cli_module, "build_parser", counted)
+    monkeypatch.setattr(cli_module, "_parser", None)
+    out = synth_file(tmp_path, ["complete"], 4, 1)
+    assert run(["verify", "--circuit", str(out), "--n", "4"]) == 2
+    assert "--k" in capsys.readouterr().err
+    assert run(["verify", "--circuit", str(out), "--n", "4", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "ell=1 fidelity=1.000000000000 ok\n"
+    assert calls[0] == 1

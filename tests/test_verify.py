@@ -289,3 +289,170 @@ def test_evolve_builds_one_matrix_per_parameter_row(monkeypatch):
     out = simulate(c, 0)
     assert fidelity(out, dicke_reference(16, 3)) > 1 - 1e-10
     assert 0 < calls[0] <= len(c.param_rows) < u_gates
+
+
+# --- the fused-run kernel against a per-gate oracle ---------------------------
+
+
+def _per_gate_evolve(c, idx, amp):
+    """Reference oracle: one gate at a time on a dict from Python-int basis
+    index to amplitude, so any index width and any bits above the circuit's
+    qubits are carried as they are."""
+    state = dict(zip(idx.tolist(), amp.tolist()))
+    for g in c.gates:
+        if g.kind == "cx":
+            ctrl, targ = g.qubits
+            state = {i ^ (((i >> ctrl) & 1) << targ): a
+                     for i, a in state.items()}
+            continue
+        (targ,) = g.qubits
+        m = gate_matrix(g.params)
+        out: dict = {}
+        for i, a in state.items():
+            bit = (i >> targ) & 1
+            for new in (0, 1):
+                j = (i & ~(1 << targ)) | (new << targ)
+                out[j] = out.get(j, 0) + m[new, bit] * a
+        state = out
+    return state
+
+
+def _assert_matches_oracle(c, idx, amp):
+    from dickesynth.verify import _evolve
+    got_idx, got_amp = _evolve(c, idx, amp)
+    assert got_idx.dtype == idx.dtype
+    assert len(set(got_idx.tolist())) == len(got_idx)
+    got = dict(zip(got_idx.tolist(), got_amp.tolist()))
+    want = _per_gate_evolve(c, idx, amp)
+    for i in got.keys() | want.keys():
+        assert abs(got.get(i, 0) - want.get(i, 0)) <= ORACLE_TOL
+    return got
+
+
+def _clustered_circuit(n, qubit_pool, seed):
+    """Random gates in clusters on 2 or 3 qubits of qubit_pool (at least 6
+    qubits), each opening with a CNOT on two qubits that the cluster before
+    it does not touch, so the greedy split makes each cluster one run. A
+    last U on a qubit outside the last 3-qubit cluster makes a 1-qubit run.
+    Each U gate takes one of four parameter rows, so rows repeat."""
+    rng = np.random.default_rng(seed)
+    rows = [tuple(rng.uniform(-math.pi, math.pi, 4)) for _ in range(4)]
+    c = Circuit(n)
+    qs: list = []
+    for i in range(40):
+        width = 3 if i == 39 else int(rng.integers(2, 4))
+        free = [q for q in qubit_pool if q not in qs]
+        qs = [int(q) for q in rng.choice(free, size=width, replace=False)]
+        c.cx(qs[0], qs[1])
+        for q in qs:
+            c.u(q, *rows[int(rng.integers(4))])
+        for _ in range(int(rng.integers(5))):
+            if rng.random() < 0.5:
+                a, b = rng.choice(qs, size=2, replace=False)
+                c.cx(int(a), int(b))
+            else:
+                c.u(qs[int(rng.integers(width))],
+                    *rows[int(rng.integers(4))])
+    c.u(next(q for q in qubit_pool if q not in qs), *rows[0])
+    return c
+
+
+def _sparse_input(positions, count, rng, dtype=np.int64, base=0):
+    """count distinct indices with random bits at the given positions (plus
+    base), and random normalized amplitudes."""
+    idx = set()
+    while len(idx) < count:
+        idx.add(base | sum(int(rng.integers(2)) << p for p in positions))
+    idx = np.array(sorted(idx), dtype=dtype)
+    amp = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return idx, amp / np.linalg.norm(amp)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_evolve_matches_per_gate_oracle(seed, monkeypatch):
+    import dickesynth.verify as verify
+    real, widths = verify._apply_run, set()
+
+    def recorded(run, qubits, *args):
+        widths.add(len(qubits))
+        return real(run, qubits, *args)
+    monkeypatch.setattr(verify, "_apply_run", recorded)
+    c = _clustered_circuit(8, range(8), seed)
+    assert len(c.param_rows) <= 4 < sum(g.kind == "u" for g in c.gates)
+    rng = np.random.default_rng(100 + seed)
+    _assert_matches_oracle(c, *_sparse_input(range(8), 20, rng))
+    assert widths == {1, 2, 3}
+
+
+def test_evolve_uint64_on_64_qubits_matches_oracle():
+    # the gates touch the lowest and highest qubits; bits 20..39 of the
+    # input are touched by none and must come out as they went in
+    c = _clustered_circuit(64, [0, 1, 2, 61, 62, 63], seed=11)
+    rng = np.random.default_rng(12)
+    idx, amp = _sparse_input([0, 1, 2, 61, 62, 63] + list(range(20, 40)), 30,
+                             rng, dtype=np.uint64)
+    got = _assert_matches_oracle(c, idx, amp)
+    untouched = sum(1 << p for p in range(3, 61))
+    assert ({i & untouched for i in got}
+            == {i & untouched for i in idx.tolist()})
+
+
+def test_evolve_carries_weight_tags_above_n():
+    n = 10
+    c = _clustered_circuit(n, range(n), seed=21)
+    rng = np.random.default_rng(22)
+    parts = [_sparse_input(range(n), 6, rng, base=tag << n)
+             for tag in (1, 2, 5)]
+    idx = np.concatenate([p[0] for p in parts])
+    amp = np.concatenate([p[1] for p in parts]) / math.sqrt(3)
+    got = _assert_matches_oracle(c, idx, amp)
+    assert {i >> n for i in got} == {1, 2, 5}
+    for tag in (1, 2, 5):
+        norm = math.sqrt(sum(abs(a) ** 2 for i, a in got.items()
+                             if i >> n == tag))
+        assert abs(norm - 1 / math.sqrt(3)) <= ORACLE_TOL
+
+
+def test_one_angle_fault_inside_a_fused_run_is_caught(monkeypatch):
+    import dickesynth.verify as verify
+    from dickesynth.unary import dicke_unitary_path
+    good = dicke_unitary_path(12, 3)
+    assert min(f for _, f in dicke_fidelities(good, range(4))) > 1 - 1e-12
+    gates = list(good.gates)
+    fault = next(i for i in range(len(gates) // 2, len(gates))
+                 if gates[i].kind == "u")
+    theta, *rest = gates[fault].params
+    bad = Circuit(12)
+    for i, g in enumerate(gates):
+        if i == fault:
+            bad.u(g.qubits[0], theta + 1e-3, *rest)
+        elif g.kind == "cx":
+            bad.cx(*g.qubits)
+        else:
+            bad.u(g.qubits[0], *g.params)
+    fault_row = bad.param_rows.index((theta + 1e-3, *rest))
+    real, runs = verify._apply_run, []
+
+    def recorded(run, *args):
+        runs.append(list(run))
+        return real(run, *args)
+    monkeypatch.setattr(verify, "_apply_run", recorded)
+    worst = min(f for _, f in dicke_fidelities(bad, range(4)))
+    assert worst < 1 - 1e-8
+    # the faulty gate shares its run with other gates
+    (host,) = [run for run in runs if any(g[3] == fault_row for g in run)]
+    assert len(host) > 1
+
+
+def test_evolve_sorts_once_per_run_not_per_gate(monkeypatch):
+    c = prepare_dicke("path", 16, 4)
+    u_gates = sum(g.kind == "u" for g in c.gates)
+    real, sorts = np.argsort, [0]
+
+    def counted(*args, **kwargs):
+        sorts[0] += kwargs.get("kind") == "stable"
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "argsort", counted)
+    assert fidelity(simulate(c, 0), dicke_reference(16, 4)) > 1 - 1e-10
+    # one sort per fused run: 40 for 220 U gates when this was written
+    assert 0 < sorts[0] <= u_gates // 4
