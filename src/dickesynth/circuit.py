@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import array
 import cmath
-import itertools
 import math
 import operator
 import struct
@@ -368,9 +367,10 @@ def asap_layering(c: Circuit) -> DepthReport:
     """Greedy earliest-slot layering: each gate goes in the first layer
     after every earlier gate sharing one of its qubits. O(size) via
     per-qubit frontier levels, read from the qubit columns a block at a
-    time."""
+    time. The frontier spans the qubits the gates touch, not the header's
+    count, which may be far larger."""
     cols = c.columns()
-    frontier = [0] * c.num_qubits
+    frontier = [0] * (int(cols[1:3].max(initial=-1)) + 1)
     levels = array.array("q")
     put = levels.append
     for start in range(0, cols.shape[1], _BLOCK):
@@ -482,82 +482,218 @@ def dumps(c: Circuit) -> str:
     return "\n".join(blocks) + "\n"
 
 
-def _line_blocks(text: str):
-    """text.splitlines() in blocks of about _TEXT_BLOCK characters, each
-    cut just after a newline."""
+def _text_blocks(text: str):
+    """text in blocks of about _TEXT_BLOCK characters, each cut just after
+    a newline, so no line (and no \\r\\n pair) spans two blocks."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
-        yield text[start:end].splitlines()
+        yield text[start:end]
         start = end
 
 
 _TEXT_BLOCK = 1 << 18
+_INT64 = range(-1 << 63, 1 << 63)
+# the longest parameter text dumps writes: four %.17g words of at most 24
+# characters ("-1.2345678901234567e-308") and the three spaces between them
+_PARAM_WIDTH = 4 * 24 + 3
+
+
+class _LineReader:
+    """loads' line-by-line lane: the QUBITS header, comments, blank lines,
+    and every line that is not in dumps' spelling or holds a fault, read
+    with all of loads' checks but the final qubit range. It also parses
+    each new parameter text of the bulk lane, in text order, so every
+    error is the one a line-by-line reading raises first."""
+
+    def __init__(self):
+        self.num_qubits = None
+        self.params = _ParamTable()
+        self.row_of: dict = {}  # U parameter words, joined by spaces -> row
+
+    def row(self, spelled: str) -> int:
+        """The parameter row of a U line's four words, parsed and checked
+        once per spelling."""
+        row = self.row_of.get(spelled)
+        if row is None:
+            row = self.row_of[spelled] = self.params.add(
+                tuple(map(float, spelled.split())))
+        return row
+
+    def gates(self, segment: str) -> list:
+        """(op, q0, q1, row) of each gate line of segment, in order."""
+        out = []
+        for raw in segment.splitlines():
+            tok = raw.split()
+            head = tok[0] if tok else "#"
+            if head == "U":
+                if len(tok) != 6:
+                    raise ValueError(
+                        f"U takes a qubit and 4 parameters: {raw!r}")
+                row = self.row(" ".join(tok[2:]))
+                gate = (_U, int(tok[1]), -1, row)
+            elif head == "CX":
+                if len(tok) != 3:
+                    raise ValueError(f"CX takes two qubits: {raw!r}")
+                a, b = int(tok[1]), int(tok[2])
+                if a == b:
+                    raise ValueError("cnot control equals target")
+                gate = (_CX, a, b, -1)
+            elif head == "QUBITS":
+                if self.num_qubits is not None:
+                    raise ValueError("repeated QUBITS header")
+                if len(tok) != 2 or int(tok[1]) < 1:
+                    raise ValueError(
+                        f"QUBITS needs one positive count: {raw!r}")
+                self.num_qubits = int(tok[1])
+                if self.num_qubits >> 63:
+                    raise ValueError(f"QUBITS count outside int64: {raw!r}")
+                continue
+            elif head.startswith("#"):
+                continue
+            else:
+                raise ValueError(f"unrecognized line: {raw!r}")
+            if gate[1] not in _INT64 or gate[2] not in _INT64:
+                raise ValueError(f"gate qubit outside int64: {raw!r}")
+            out.append(gate)
+        return out
+
+
+def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
+    """The value of each nonempty field buf[start:end], and whether the
+    field is at most 18 ASCII digits (so its value fits int64), read digit
+    by digit from the right over all fields at once. Bytes left of a field
+    read as 0; a negative index wraps into the end of buf, which is
+    padding."""
+    size = end - start
+    j = np.arange(min(int(size.max(initial=0)), 18))[:, None]
+    digit = (buf[end - 1 - j] - np.uint8(48)) * (j < size)
+    ok = (size <= 18) & (digit <= 9).all(axis=0)
+    return (digit * _POW10[:len(j)]).sum(axis=0), ok
+
+
+_POW10 = 10 ** np.arange(18, dtype=np.int64)[:, None]
+# _TEXT_MASK[s] keeps the first s bytes of a parameter text read as
+# _PARAM_WORDS uint64 words
+_PARAM_WORDS = -(-_PARAM_WIDTH // 8)
+_TEXT_MASK = np.frombuffer(
+    b"".join(b"\xff" * s + bytes(8 * _PARAM_WORDS - s)
+             for s in range(_PARAM_WIDTH + 1)),
+    dtype=np.uint64).reshape(_PARAM_WIDTH + 1, _PARAM_WORDS)
+
+
+def _read_block(reader: _LineReader, data: bytes) -> np.ndarray:
+    """The (4, m) columns of the gates in data, a block of text in UTF-8
+    cut just after a newline. numpy reads the lines in dumps' spelling: U
+    q theta phi lam gamma or CX c t, single spaces, printable ASCII, qubits
+    of 1 to 18 digits, a parameter text of at most _PARAM_WIDTH bytes and
+    a CNOT's control not its target. Their distinct parameter texts go to
+    reader.row once each, and every other line to reader.gates, in text
+    order."""
+    size = len(data)
+    # the padding ends the last line at buf[size] and keeps each line's
+    # head and parameter window in bounds
+    padded = data + b"\n" * (8 * _PARAM_WORDS)
+    buf = np.frombuffer(padded, dtype=np.uint8)
+    # every byte outside "!".."~": the spaces, the line ends and any other
+    sep = np.flatnonzero(np.subtract(buf[:size + 1], 33, dtype=np.uint8) > 93)
+    kind = buf[sep]
+    eol = np.flatnonzero(kind == 10)     # the sep index of each line's end
+    first = np.concatenate(([0], eol[:-1] + 1))   # ... and of its first
+    ends = sep[eol]                      # line i is buf[starts[i]:ends[i]]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # a line's words are nonempty and split by single spaces unless it
+    # holds a separator other than a space or its end, or two adjacent
+    # separators one of which is a space
+    space = kind == 32
+    odd = ~space & (kind != 10)
+    odd[1:] |= (sep[1:] - sep[:-1] == 1) & (space[1:] | space[:-1])
+    plain = np.ones(len(ends), dtype=bool)
+    plain[np.searchsorted(eol, np.flatnonzero(odd))] = False
+    spaces = eol - first
+    u = np.flatnonzero(plain & (spaces == 5) & (buf[starts] == ord("U"))
+                       & (buf[starts + 1] == 32))
+    cx = np.flatnonzero(plain & (spaces == 2) & (buf[starts] == ord("C"))
+                        & (buf[starts + 1] == ord("X"))
+                        & (buf[starts + 2] == 32))
+    # the end of the second word: a U line's qubit, a CNOT's control
+    u_mid, cx_mid = sep[first[u] + 1], sep[first[cx] + 1]
+    nu, ncx = len(u), len(cx)
+    value, digits = _digits(
+        buf, np.concatenate([starts[u] + 2, starts[cx] + 3, cx_mid + 1]),
+        np.concatenate([u_mid, cx_mid, ends[cx]]))
+    target, control, cx_target = (value[:nu], value[nu:nu + ncx],
+                                  value[nu + ncx:])
+    keep = digits[:nu] & (ends[u] - u_mid <= _PARAM_WIDTH + 1)
+    u, target, u_mid = u[keep], target[keep], u_mid[keep]
+    keep = (digits[nu:nu + ncx] & digits[nu + ncx:]
+            & (control != cx_target))
+    cx, control, cx_target = cx[keep], control[keep], cx_target[keep]
+    # each parameter text as uint64 words, zeroed past its end, sorted
+    # stably, so the first line of each distinct text opens its group
+    p_start = u_mid + 1
+    p_size = ends[u] - p_start
+    words = -(-int(p_size.max(initial=1)) // 8)
+    windows = np.ndarray((size + 1, 8 * words), np.uint8, padded,
+                         strides=(1, 1))
+    key = windows[p_start].view(np.uint64) & _TEXT_MASK[p_size, :words]
+    order = np.lexsort(key.T)
+    key = key[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (key[1:] != key[:-1]).any(axis=1)
+    text_id = np.empty(len(order), dtype=np.int64)
+    text_id[order] = np.cumsum(opens) - 1
+    firsts = order[opens]
+    texts = [data[s:e].decode() for s, e in zip(p_start[firsts].tolist(),
+                                                ends[u[firsts]].tolist())]
+    bulk = np.zeros(len(ends), dtype=bool)
+    bulk[u] = True
+    bulk[cx] = True
+    # the other lines, and the first line of each parameter text not read
+    # before, in text order
+    todo = sorted([*((i, None) for i in np.flatnonzero(~bulk).tolist()),
+                   *((i, t) for i, t in zip(u[firsts].tolist(), texts)
+                     if t not in reader.row_of)])
+    count = bulk.astype(np.int64)   # gates per line
+    read = {}
+    for i, spelled in todo:
+        if spelled is None:
+            read[i] = reader.gates(
+                data[starts[i]:ends[i]].decode("utf-8", "surrogatepass"))
+            count[i] = len(read[i])
+        else:
+            reader.row(spelled)
+    rows = np.array([reader.row_of[t] for t in texts], dtype=np.int64)
+    at = np.cumsum(count) - count   # each line's first gate
+    cols = np.full((4, int(count.sum())), -1, dtype=np.int64)
+    pu, pc = at[u], at[cx]
+    cols[0, pu], cols[1, pu], cols[3, pu] = _U, target, rows[text_id]
+    cols[0, pc], cols[1, pc], cols[2, pc] = _CX, control, cx_target
+    for i, gates in read.items():
+        if gates:
+            cols[:, at[i]:at[i] + len(gates)] = np.array(gates).T
+    return cols
 
 
 def loads(text: str) -> Circuit:
     """Parse the text format. Raises ValueError on a malformed line: a
     wrong operand count, a qubit outside [0, QUBITS) (or past int64), a
     non-finite U parameter, or a QUBITS header that is missing, repeated
-    or not a positive int64. Each distinct gate line is parsed and checked
-    once per call and its repeats gather its columns; a U line's four
-    parameters are parsed once per distinct spelling. The memos are keyed
-    on the exact line and the exact words, so every spelling that differs
-    in any character (a sign of zero included) is parsed and checked on
-    its own."""
-    num_qubits = None
-    params = _ParamTable()
-    row_of: dict = {}    # the four parameter words of a U line -> its row
-    code_of: dict = {}   # distinct gate line -> its index in distinct
-    distinct = array.array("q")  # op, q0, q1, row of each distinct line
-    codes = array.array("q")
-    put = codes.append
-    for raw in itertools.chain.from_iterable(_line_blocks(text)):
-        code = code_of.get(raw)
-        if code is not None:
-            put(code)
-            continue
-        tok = raw.split()
-        head = tok[0] if tok else "#"
-        if head == "U":
-            if len(tok) != 6:
-                raise ValueError(f"U takes a qubit and 4 parameters: {raw!r}")
-            spelled = tuple(tok[2:])
-            row = row_of.get(spelled)
-            if row is None:
-                row = row_of[spelled] = params.add(tuple(map(float, spelled)))
-            gate = (_U, int(tok[1]), -1, row)
-        elif head == "CX":
-            if len(tok) != 3:
-                raise ValueError(f"CX takes two qubits: {raw!r}")
-            a, b = int(tok[1]), int(tok[2])
-            if a == b:
-                raise ValueError("cnot control equals target")
-            gate = (_CX, a, b, -1)
-        elif head == "QUBITS":
-            if num_qubits is not None:
-                raise ValueError("repeated QUBITS header")
-            if len(tok) != 2 or int(tok[1]) < 1:
-                raise ValueError(f"QUBITS needs one positive count: {raw!r}")
-            num_qubits = int(tok[1])
-            if num_qubits >> 63:
-                raise ValueError(f"QUBITS count outside int64: {raw!r}")
-            continue
-        elif head.startswith("#"):
-            continue
-        else:
-            raise ValueError(f"unrecognized line: {raw!r}")
-        try:
-            distinct.extend(gate)
-        except OverflowError as e:
-            raise ValueError(f"gate qubit outside int64: {raw!r}") from e
-        code = code_of[raw] = len(code_of)
-        put(code)
-    if num_qubits is None:
+    or not a positive int64. The text is read in blocks of about
+    _TEXT_BLOCK characters. numpy reads a block's lines in dumps'
+    spelling at once (_read_block), parsing each distinct parameter text
+    once; every other line is read one by one, in text order, with the
+    same checks (_LineReader), so any error is the one a line-by-line
+    reading raises first."""
+    reader = _LineReader()
+    chunks = [_read_block(reader, block.encode("utf-8", "surrogatepass"))
+              for block in _text_blocks(text)]
+    if reader.num_qubits is None:
         raise ValueError("missing QUBITS header")
-    table = np.frombuffer(distinct, dtype=np.int64).reshape(-1, 4).T
-    qubits = np.concatenate([table[1], table[2, table[0] == _CX]])
+    num_qubits = reader.num_qubits
+    cols = (np.concatenate(chunks, axis=1) if chunks
+            else np.empty((4, 0), dtype=np.int64))
+    qubits = np.concatenate([cols[1], cols[2, cols[0] == _CX]])
     if len(qubits) and (qubits.min() < 0 or qubits.max() >= num_qubits):
         raise ValueError(f"gate qubit outside [0, {num_qubits})")
-    return Circuit._from_columns(
-        num_qubits, table[:, np.frombuffer(codes, dtype=np.int64)], params)
+    return Circuit._from_columns(num_qubits, cols, reader.params)

@@ -101,8 +101,10 @@ def build_lightcone(c: Circuit) -> LightConeGraph:
     cx = op == _CX
     latest_first = np.argsort(-layer[cx], kind="stable")
     cnots = np.stack([layer[cx], q0[cx], q1[cx]])[:, latest_first]
-    # a merged single-qubit layer may act on a qubit more than once
-    width = c.num_qubits
+    # a merged single-qubit layer may act on a qubit more than once; the
+    # keys span the qubits the gates touch, as asap_layering's frontier
+    # does, not the header's count
+    width = int(q0.max(initial=0)) + 1
     u_keys = _distinct(layer[~cx] * width + q0[~cx])
     touched = np.concatenate([np.stack([u_keys // width, u_keys % width]),
                               cnots[[0, 1]], cnots[[0, 2]]], axis=1)
@@ -122,11 +124,13 @@ def reachable(g: LightConeGraph, origin: int) -> ReachableSets:
     joined[q] is the last column whose cone holds q (0: none). Crossing
     L_i from column i+1 to column i, a CNOT with one endpoint in the cone
     pulls the other in at column i. The CNOTs of a layer share no qubit,
-    so one pass over them, latest layer first, walks the whole cone."""
+    so one pass over them, latest layer first, walks the whole cone.
+    joined spans the origin and the qubits the gates touch, not the
+    header's count."""
     if not 0 <= origin < g.num_qubits:
         raise ValueError("origin out of range")
     d = g.depth
-    joined = [0] * g.num_qubits
+    joined = [0] * (max(int(g.touched[1].max(initial=0)), origin) + 1)
     joined[origin] = d + 1
     for start in range(0, g.cnots.shape[1], _BLOCK):
         for i, a, b in zip(*g.cnots[:, start:start + _BLOCK].tolist()):

@@ -108,7 +108,11 @@ def dicke_fidelities(c: Circuit, ells):
     output support is no larger than one half-weight Dicke state's. Each
     weight's output must be normalized (RuntimeError otherwise), and its
     fidelity |sum of its amplitudes on weight-ell indices|^2 / C(n, ell) is
-    taken on the support, so no 2^n vector is built."""
+    taken on the support, so no 2^n vector is built. A sweep stops with
+    ValueError once its support would pass len(batch) * 2^SIMULATOR_CAP
+    amplitudes: each weight's support on SIMULATOR_CAP qubits or fewer
+    stays within 2^SIMULATOR_CAP, so only a larger circuit meets the
+    limit, and it cannot exhaust memory."""
     n = c.num_qubits
     ells = [int(ell) for ell in ells]
     if not all(0 <= ell <= n for ell in ells) or len(set(ells)) < len(ells):
@@ -126,7 +130,8 @@ def dicke_fidelities(c: Circuit, ells):
     for batch in batches:
         tags = np.array(batch, dtype=np.int64)
         idx, amp = _evolve(c, ((1 << tags) - 1) | (tags << n),
-                           np.ones(len(batch), dtype=complex))
+                           np.ones(len(batch), dtype=complex),
+                           limit=len(batch) << SIMULATOR_CAP)
         tag = idx >> n
         weight = _POPCOUNT8[(idx & ((1 << n) - 1)).view(np.uint8)]
         weight = weight.reshape(-1, 8).sum(axis=1)
@@ -144,7 +149,8 @@ def dicke_fidelities(c: Circuit, ells):
 _RUN_WIDTH = 3
 
 
-def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray) -> tuple:
+def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray, *,
+            limit: int | None = None) -> tuple:
     """The kernel of simulate and dicke_fidelities: apply c to the state
     with amplitudes amp on the distinct basis indices idx, returning the
     new support and amplitudes in idx's integer dtype. It never builds a
@@ -154,7 +160,8 @@ def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray) -> tuple:
     the gates, in circuit order, into runs on at most _RUN_WIDTH qubits;
     each run is applied as one small unitary by _apply_run. Each
     parameter row's matrix is built once, on the first gate that uses
-    it."""
+    it. With a limit, a run that would spread the support past limit
+    amplitudes raises ValueError before it is applied."""
     rows = c.param_rows
     mats: dict = {}
     run: list = []      # (op, a, b, row) of each gate of the open run
@@ -163,24 +170,25 @@ def _evolve(c: Circuit, idx: np.ndarray, amp: np.ndarray) -> tuple:
         op, a, b, _ = gate
         new = [q for q in ((a, b) if op else (a,)) if q not in qubits]
         if len(qubits) + len(new) > _RUN_WIDTH:
-            idx, amp = _apply_run(run, qubits, idx, amp, rows, mats)
+            idx, amp = _apply_run(run, qubits, idx, amp, rows, mats, limit)
             run, qubits = [], []
             new = [a, b] if op else [a]
         run.append(gate)
         qubits += new
     if run:
-        idx, amp = _apply_run(run, qubits, idx, amp, rows, mats)
+        idx, amp = _apply_run(run, qubits, idx, amp, rows, mats, limit)
     return idx, amp
 
 
-def _apply_run(run, qubits, idx, amp, rows, mats) -> tuple:
+def _apply_run(run, qubits, idx, amp, rows, mats, limit) -> tuple:
     """Apply the gates of run, on the q listed qubits, to the support. A
     run of CNOTs only relabels the indices. Otherwise the run becomes one
     2^q x 2^q unitary whose local index has bit j for qubits[j], and one
     stable argsort of the indices with the run's bits cleared gathers
     each group of up to 2^q indices that the run mixes into one row of a
     (groups, 2^q) array; one matmul applies the unitary to every group,
-    and amplitudes with |a| <= 1e-14 are dropped."""
+    and amplitudes with |a| <= 1e-14 are dropped. Raises ValueError when
+    the groups hold more than limit amplitudes."""
     if all(op for op, _, _, _ in run):
         for _, a, b, _ in run:
             idx = idx ^ (((idx >> a) & 1) << b)
@@ -213,8 +221,12 @@ def _apply_run(run, qubits, idx, amp, rows, mats) -> tuple:
     col = np.zeros(len(src), dtype=src.dtype)
     for j, q in enumerate(qubits):
         col |= ((src >> q) & 1) << j
+    groups = np.count_nonzero(new)
+    if limit is not None and groups * d > limit:
+        raise ValueError(f"the support would reach {groups * d} amplitudes, "
+                         f"past the verifier's limit of {limit}")
     # indices are distinct, so no two entries share a (group, col) cell
-    group = np.zeros((np.count_nonzero(new), d), dtype=complex)
+    group = np.zeros((groups, d), dtype=complex)
     group[new.cumsum() - 1, col] = amp[order]
     amp = (group @ u.T).ravel()
     idx = (key[new][:, None] | spread).ravel()

@@ -1,8 +1,12 @@
+import array
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dickesynth import circuit
 from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
                                 asap_layering, compose, dumps, gate_matrix,
                                 grid_index, inverse, loads, remap_qubits,
@@ -495,3 +499,249 @@ def test_gates_view_reader_contract(make, graph):
     off = validate_connectivity(loads("\n".join(other_qubit)), graph)
     assert len(off) == (not graph.has_edge(a, q))
     assert (off == []) == graph.has_edge(a, q)
+
+
+# --- loads against a line-by-line reference ----------------------------------
+
+def _reference_loads(text: str) -> Circuit:
+    """loads as it was before the bulk lane: one Python step per line and
+    a memo of the distinct lines. (It read the text in blocks of lines,
+    which bounds its memory and changes no result.)"""
+    num_qubits = None
+    params = circuit._ParamTable()
+    row_of: dict = {}    # the four parameter words of a U line -> its row
+    code_of: dict = {}   # distinct gate line -> its index in distinct
+    distinct = array.array("q")  # op, q0, q1, row of each distinct line
+    codes = array.array("q")
+    put = codes.append
+    for raw in text.splitlines():
+        code = code_of.get(raw)
+        if code is not None:
+            put(code)
+            continue
+        tok = raw.split()
+        head = tok[0] if tok else "#"
+        if head == "U":
+            if len(tok) != 6:
+                raise ValueError(f"U takes a qubit and 4 parameters: {raw!r}")
+            spelled = tuple(tok[2:])
+            row = row_of.get(spelled)
+            if row is None:
+                row = row_of[spelled] = params.add(tuple(map(float, spelled)))
+            gate = (circuit._U, int(tok[1]), -1, row)
+        elif head == "CX":
+            if len(tok) != 3:
+                raise ValueError(f"CX takes two qubits: {raw!r}")
+            a, b = int(tok[1]), int(tok[2])
+            if a == b:
+                raise ValueError("cnot control equals target")
+            gate = (circuit._CX, a, b, -1)
+        elif head == "QUBITS":
+            if num_qubits is not None:
+                raise ValueError("repeated QUBITS header")
+            if len(tok) != 2 or int(tok[1]) < 1:
+                raise ValueError(f"QUBITS needs one positive count: {raw!r}")
+            num_qubits = int(tok[1])
+            if num_qubits >> 63:
+                raise ValueError(f"QUBITS count outside int64: {raw!r}")
+            continue
+        elif head.startswith("#"):
+            continue
+        else:
+            raise ValueError(f"unrecognized line: {raw!r}")
+        try:
+            distinct.extend(gate)
+        except OverflowError as e:
+            raise ValueError(f"gate qubit outside int64: {raw!r}") from e
+        code = code_of[raw] = len(code_of)
+        put(code)
+    if num_qubits is None:
+        raise ValueError("missing QUBITS header")
+    table = np.frombuffer(distinct, dtype=np.int64).reshape(-1, 4).T
+    qubits = np.concatenate([table[1], table[2, table[0] == circuit._CX]])
+    if len(qubits) and (qubits.min() < 0 or qubits.max() >= num_qubits):
+        raise ValueError(f"gate qubit outside [0, {num_qubits})")
+    return Circuit._from_columns(
+        num_qubits, table[:, np.frombuffer(codes, dtype=np.int64)], params)
+
+
+def _read_both(text: str):
+    """loads and _reference_loads on text: each one's circuit, or its
+    ValueError's message."""
+    out = []
+    for read in (loads, _reference_loads):
+        try:
+            out.append(read(text))
+        except ValueError as e:
+            out.append(str(e))
+    return out
+
+
+def _assert_same_circuit(got: Circuit, want: Circuit) -> None:
+    assert got.num_qubits == want.num_qubits
+    assert np.array_equal(got.columns(), want.columns())
+    # bit for bit, so 0.0 and -0.0 differ
+    assert (np.array(got.param_rows, dtype=float).tobytes()
+            == np.array(want.param_rows, dtype=float).tobytes())
+    assert dumps(got) == dumps(want)
+
+
+def _pinned_builders() -> dict:
+    """The builders of the circuits whose dumps sha256 test_synth.py pins,
+    read from that file by path, so the two lists cannot drift apart."""
+    spec = importlib.util.spec_from_file_location(
+        "_pinned_dumps", Path(__file__).with_name("test_synth.py"))
+    pins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pins)
+    return {case: build for case, (build, _) in
+            [*pins.DUMPS_SHA256.items(), *pins.UNARY_DIVIDE_SHA256.items()]}
+
+
+PINNED_BUILDERS = _pinned_builders()
+
+
+@pytest.mark.parametrize("case", list(PINNED_BUILDERS))
+def test_loads_matches_reference_on_pinned_texts(case):
+    text = dumps(PINNED_BUILDERS[case]())
+    got, want = loads(text), _reference_loads(text)
+    _assert_same_circuit(got, want)
+    assert dumps(got) == text
+
+
+def _qubit_edit(respell):
+    """An edit that respells the qubit of a U line."""
+    def edit(lines, i):
+        words = lines[i].split(" ")
+        words[1] = respell(words[1])
+        lines[i] = " ".join(words)
+    edit.head = "U"
+    return edit
+
+
+def _word_edit(at, word, head="U"):
+    """An edit that replaces word number at of a line starting with head."""
+    def edit(lines, i):
+        words = lines[i].split(" ")
+        words[at] = word
+        lines[i] = " ".join(words)
+    edit.head = head
+    return edit
+
+
+def _line_edit(change, head=""):
+    """An edit that replaces line i (a gate line starting with head) by
+    the lines change(line) returns."""
+    def edit(lines, i):
+        lines[i:i + 1] = change(lines[i])
+    edit.head = head
+    return edit
+
+
+def _join_edit(sep):
+    """An edit that joins line i and the next with sep instead of \\n."""
+    def edit(lines, i):
+        lines[i:i + 2] = [lines[i] + sep + lines[i + 1]]
+    edit.head = ""
+    return edit
+
+
+def _move_header(lines, i):
+    lines.insert(i, lines.pop(0))
+
+
+_move_header.head = ""
+
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+LOADS_EDITS = {
+    "tab": _line_edit(lambda s: [s.replace(" ", "\t", 1)]),
+    "doubled space": _line_edit(lambda s: [s.replace(" ", "  ", 1)]),
+    "leading space": _line_edit(lambda s: [" " + s]),
+    "trailing space": _line_edit(lambda s: [s + " "]),
+    "crlf": _line_edit(lambda s: [s + "\r"]),
+    "cr": _join_edit("\r"),
+    "vertical tab": _join_edit("\x0b"),
+    "form feed": _join_edit("\x0c"),
+    "plus sign": _qubit_edit(lambda q: "+" + q),
+    "leading zeros": _qubit_edit(lambda q: "00" + q),
+    "underscore": _qubit_edit(lambda q: q[0] + "_" + q[1:] if len(q) > 1
+                              else "0_" + q),
+    "arabic digits": _qubit_edit(lambda q: q.translate(_ARABIC)),
+    "18 digits": _qubit_edit(lambda q: q.zfill(18)),
+    "19 digits": _qubit_edit(lambda q: q.zfill(19)),
+    "19-digit qubit": _qubit_edit(lambda q: "1" + "0" * 18),
+    "qubit past int64": _qubit_edit(lambda q: "9" * 20),
+    "negative qubit": _qubit_edit(lambda q: "-" + q),
+    "inf": _word_edit(2, "inf"),
+    "nan": _word_edit(4, "nan"),
+    "1e999": _word_edit(5, "1e999"),
+    "bad float": _word_edit(3, "0.5x"),
+    "non-ASCII float": _word_edit(3, "٣.٥"),
+    "unicode minus": _word_edit(2, "−0.5"),
+    "fullwidth digit": _word_edit(5, "１"),
+    "long float": _word_edit(2, "0." + "0" * 120 + "1"),
+    "U operand count": _line_edit(lambda s: [s + " 0"], "U"),
+    "cnot on one qubit": _line_edit(lambda s: ["CX 2 2"]),
+    "cnot past int64": _word_edit(2, "9" * 19, "CX"),
+    "cnot with letters": _word_edit(1, "1a", "CX"),
+    "lower case": _line_edit(lambda s: [s.lower()], "CX"),
+    "comment line": _line_edit(lambda s: ["# a comment", s]),
+    "commented gate": _line_edit(lambda s: ["#" + s]),
+    "trailing comment": _line_edit(lambda s: [s + " # note"]),
+    "blank lines": _line_edit(lambda s: ["", s, "   ", ""]),
+    "header mid-text": _move_header,
+    "repeated header": _line_edit(lambda s: [s, "QUBITS 256"]),
+    "nul byte": _line_edit(lambda s: [s.replace(" ", "\0", 1)]),
+    "lone surrogate": _line_edit(lambda s: [s + " \udc80"]),
+}
+
+
+def _loads_corpus_base():
+    text = dumps(synth_grid(16, 16, 8)[0])
+    lines = text.splitlines()
+    # the first line of each block but the first
+    cuts = np.cumsum([len(block.splitlines())
+                      for block in circuit._text_blocks(text)])[:-1]
+    return lines, cuts.tolist()
+
+
+@pytest.mark.parametrize("name", list(LOADS_EDITS))
+def test_loads_matches_reference_on_edited_texts(name):
+    lines, cuts = _loads_corpus_base()
+    assert len(cuts) >= 2   # the text spans at least three blocks
+    edit = LOADS_EDITS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    fits = [i for i, line in enumerate(lines[:-1])
+            if i and line.startswith(edit.head)]
+    # a line at random, and the lines on each side of each block cut
+    near = [i for c in cuts for i in (c - 1, c) if i in set(fits)]
+    for i in [int(rng.choice(fits)), *near]:
+        edited = list(lines)
+        edit(edited, i)
+        got, want = _read_both("\n".join(edited) + "\n")
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _assert_same_circuit(got, want)
+
+
+@pytest.mark.parametrize("first,second", [
+    ("inf", "cnot on one qubit"), ("repeated header", "bad float"),
+    ("qubit past int64", "negative qubit"), ("negative qubit", "nan"),
+    ("cr", "commented gate")])
+def test_loads_reports_the_first_fault_in_text_order(first, second):
+    lines, cuts = _loads_corpus_base()
+    rng = np.random.default_rng(7)
+    edits = []
+    for name, (lo, hi) in ((second, (cuts[-1], len(lines) - 1)),
+                           (first, (1, cuts[0]))):
+        edit = LOADS_EDITS[name]
+        edits.append((edit, int(rng.choice(
+            [i for i in range(lo, hi) if lines[i].startswith(edit.head)]))))
+    edited = list(lines)
+    for edit, i in edits:   # the later edit first, so i stays valid
+        edit(edited, i)
+    got, want = _read_both("\n".join(edited))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_circuit(got, want)

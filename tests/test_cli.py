@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -194,9 +195,9 @@ def _sweeps(monkeypatch, tmp_path, n, k):
     import dickesynth.verify as verify
     real, sweeps = verify._evolve, []
 
-    def counted(c, idx, amp):
+    def counted(c, idx, amp, **kwargs):
         sweeps.append(sorted((idx >> n).tolist()))
-        return real(c, idx, amp)
+        return real(c, idx, amp, **kwargs)
     out = synth_file(tmp_path, ["complete"], n, k)
     monkeypatch.setattr(verify, "_evolve", counted)
     assert run(["verify", "--circuit", str(out), "--n", str(n),
@@ -252,6 +253,41 @@ def test_verify_huge_finite_parameters_are_not_internal_error(tmp_path,
 def test_verify_missing_file():
     assert run(["verify", "--circuit", "/nonexistent.qc", "--n", "4",
                 "--k", "1"]) == 2
+
+
+@pytest.mark.parametrize("n,k", [(24, 3), (40, 4), (48, 3)])
+def test_verify_above_the_simulator_cap(tmp_path, capsys, n, k):
+    out = synth_file(tmp_path, ["complete"], n, k)
+    assert run(["verify", "--circuit", str(out), "--n", str(n),
+                "--k", str(k), "--all-ell"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    fids = [float(line.split("fidelity=")[1].split()[0]) for line in printed]
+    assert len(fids) == k + 1 and min(fids) >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("n,k,limit", [
+    (64, 2, "no room for the weight tag"),
+    (1024, 8, "exceeds the support limit C(20, 10) = 184756")])
+def test_verify_refuses_what_the_sparse_kernel_cannot_hold(tmp_path, capsys,
+                                                           n, k, limit):
+    out = synth_file(tmp_path, ["complete"], n, k)
+    assert run(["verify", "--circuit", str(out), "--n", str(n),
+                "--k", str(k), "--all-ell"]) == 2
+    assert limit in capsys.readouterr().err
+
+
+def test_verify_stops_a_support_that_outgrows_its_limit(tmp_path, capsys):
+    # 30 Hadamards spread |0..01> over 2^30 states; the sweep stops at its
+    # limit of 2^20 amplitudes instead of filling memory
+    f = tmp_path / "h.qc"
+    f.write_text("QUBITS 30\n" + "".join(
+        f"U {q} {math.pi / 2!r} 0 {math.pi!r} 0\n" for q in range(30)))
+    start = time.perf_counter()
+    assert run(["verify", "--circuit", str(f), "--n", "30", "--k", "1"]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "past the verifier's limit of 1048576" in captured.err
 
 
 # --- bench ----------------------------------------------------------------------
@@ -421,6 +457,25 @@ def test_malformed_circuit_is_usage_error(tmp_path, text, command):
     f = tmp_path / "bad.qc"
     f.write_text(text)
     assert run(command + ["--circuit", str(f)]) == 2
+
+
+@pytest.mark.parametrize("count,gates,depth,floor", [
+    (1 << 62, ["CX 0 1"], 1, 61),
+    (1 << 62, ["CX 0 1", "U 1 0.5 0 0 0", "CX 1 0", "U 0 0.5 0 0 0"], 4, 61),
+    (10 ** 12, ["CX 0 1"], 1, 39)])
+def test_lightcone_sizes_by_the_touched_qubits(tmp_path, capsys, count,
+                                               gates, depth, floor):
+    # a header far larger than memory: the audit's arrays span the qubits
+    # the gates touch, so the file is audited, and is below its floor
+    f = tmp_path / "huge.qc"
+    f.write_text("\n".join([f"QUBITS {count}", *gates]) + "\n")
+    assert run(["lightcone", "--circuit", str(f), "--topology",
+                "complete"]) == 3
+    text = capsys.readouterr().out
+    assert text.startswith(f"light-cone audit: topology=complete n={count}\n"
+                           f"depth raw={depth} normalized={depth} "
+                           f"floor={floor} -> BELOW FLOOR\n")
+    assert "cones intersect" in text and text.endswith("audit FAIL\n")
 
 
 def test_lightcone_topology_size_mismatch(tmp_path):

@@ -69,6 +69,25 @@ def test_reachable_rejects_bad_origin():
         reachable(g, 5)
 
 
+def test_audit_arrays_span_the_touched_qubits_not_the_header():
+    # qubits 2.. of the header are never touched: the audit reads as it
+    # does on a 2-qubit circuit with the same gates
+    small, huge = Circuit(2), Circuit(1 << 62)
+    for c in (small, huge):
+        c.cx(0, 1)
+        c.u(1, 0.5)
+        c.cx(1, 0)
+        c.u(0, 0.5)
+    assert asap_layering(huge).depth == asap_layering(small).depth == 4
+    g, h = build_lightcone(small), build_lightcone(huge)
+    assert h.kinds == g.kinds and (h.touched == g.touched).all()
+    for origin in (0, 1):
+        assert reachable(h, origin) == reachable(g, origin)
+    # an origin past the touched qubits keeps its one-qubit cone
+    r = reachable(h, 5)
+    assert r.first_cone == {5} and r.sizes == (0,) * h.depth + (1,)
+
+
 @pytest.mark.parametrize("n,k", [(8, 2), (16, 2), (12, 3)])
 def test_alltoall_cone_doubling(n, k):
     c = prepare_dicke("complete", n, k)
