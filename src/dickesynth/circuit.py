@@ -367,14 +367,20 @@ def asap_layering(c: Circuit) -> DepthReport:
     """Greedy earliest-slot layering: each gate goes in the first layer
     after every earlier gate sharing one of its qubits. O(size) via
     per-qubit frontier levels, read from the qubit columns a block at a
-    time. The frontier spans the qubits the gates touch, not the header's
-    count, which may be far larger."""
-    cols = c.columns()
-    frontier = [0] * (int(cols[1:3].max(initial=-1)) + 1)
+    time. The frontier has at most one entry more than the qubit columns,
+    whatever the header's count or the largest label."""
+    qubits = c.columns()[1:3]
+    width = int(qubits.max(initial=-1)) + 1
+    if width > qubits.size:
+        # labels far apart (as under a huge QUBITS header): the frontier
+        # holds their ranks; -1 (no second qubit) ranks first, so stays -1
+        labels = _distinct(np.append(qubits, -1))
+        qubits, width = np.searchsorted(labels, qubits) - 1, len(labels)
+    frontier = [0] * width
     levels = array.array("q")
     put = levels.append
-    for start in range(0, cols.shape[1], _BLOCK):
-        block = cols[1:3, start:start + _BLOCK].tolist()
+    for start in range(0, qubits.shape[1], _BLOCK):
+        block = qubits[:, start:start + _BLOCK].tolist()
         for a, b in zip(*block):
             level = frontier[a]
             if b >= 0:
@@ -482,12 +488,14 @@ def dumps(c: Circuit) -> str:
     return "\n".join(blocks) + "\n"
 
 
-def _text_blocks(text: str):
-    """text in blocks of about _TEXT_BLOCK characters, each cut just after
-    a newline, so no line (and no \\r\\n pair) spans two blocks."""
-    start = 0
+def _text_blocks(text: str, start: int = 0):
+    """text[start:] in blocks of about _TEXT_BLOCK characters, each cut
+    just after the first newline at or past the next multiple of
+    _TEXT_BLOCK, so no line (and no \\r\\n pair) spans two blocks, and the
+    cuts do not depend on start."""
     while start < len(text):
-        end = text.find("\n", start + _TEXT_BLOCK) + 1 or len(text)
+        end = text.find("\n", (start // _TEXT_BLOCK + 1) * _TEXT_BLOCK)
+        end = end + 1 or len(text)
         yield text[start:end]
         start = end
 
@@ -500,11 +508,10 @@ _PARAM_WIDTH = 4 * 24 + 3
 
 
 class _LineReader:
-    """loads' line-by-line lane: the QUBITS header, comments, blank lines,
-    and every line that is not in dumps' spelling or holds a fault, read
-    with all of loads' checks but the final qubit range. It also parses
-    each new parameter text of the bulk lane, in text order, so every
-    error is the one a line-by-line reading raises first."""
+    """loads' line-by-line lane: the first line and each block that numpy
+    does not read, with all of loads' checks but the final qubit range. It
+    also parses the new parameter texts of the blocks numpy reads, in text
+    order, so every error is the one a line-by-line reading raises first."""
 
     def __init__(self):
         self.num_qubits = None
@@ -520,8 +527,8 @@ class _LineReader:
                 tuple(map(float, spelled.split())))
         return row
 
-    def gates(self, segment: str) -> list:
-        """(op, q0, q1, row) of each gate line of segment, in order."""
+    def gates(self, segment: str) -> np.ndarray:
+        """The (4, m) columns of the gate lines of segment, in order."""
         out = []
         for raw in segment.splitlines():
             tok = raw.split()
@@ -556,7 +563,7 @@ class _LineReader:
             if gate[1] not in _INT64 or gate[2] not in _INT64:
                 raise ValueError(f"gate qubit outside int64: {raw!r}")
             out.append(gate)
-        return out
+        return np.array(out, dtype=np.int64).reshape(-1, 4).T
 
 
 def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
@@ -582,57 +589,57 @@ _TEXT_MASK = np.frombuffer(
     dtype=np.uint64).reshape(_PARAM_WIDTH + 1, _PARAM_WORDS)
 
 
-def _read_block(reader: _LineReader, data: bytes) -> np.ndarray:
-    """The (4, m) columns of the gates in data, a block of text in UTF-8
-    cut just after a newline. numpy reads the lines in dumps' spelling: U
-    q theta phi lam gamma or CX c t, single spaces, printable ASCII, qubits
-    of 1 to 18 digits, a parameter text of at most _PARAM_WIDTH bytes and
-    a CNOT's control not its target. Their distinct parameter texts go to
-    reader.row once each, and every other line to reader.gates, in text
-    order."""
+def _read_block(reader: _LineReader, block: str) -> np.ndarray:
+    """The (4, m) columns of the gates in block, a nonempty run of whole
+    lines, read through one lane. numpy reads a block whose characters are
+    all printable ASCII, spaces or newlines and whose lines are all #
+    comments or gate lines in dumps' spelling: U q theta phi lam gamma or
+    CX c t, single spaces, qubits of 1 to 18 digits, a parameter text of
+    at most _PARAM_WIDTH characters and a CNOT's control not its target.
+    Only a parameter text can then be at fault: each distinct one goes to
+    reader.row once, in order of first appearance, so the first fault
+    raises first. reader.gates reads any other block."""
+    if not block.isascii() or "\x7f" in block:
+        return reader.gates(block)
+    data = block.encode()
     size = len(data)
-    # the padding ends the last line at buf[size] and keeps each line's
-    # head and parameter window in bounds
-    padded = data + b"\n" * (8 * _PARAM_WORDS)
+    # the padding ends an unterminated last line at buf[size] and keeps
+    # each line's head and parameter window in bounds
+    padded = data + b"\n" + bytes(8 * _PARAM_WORDS)
     buf = np.frombuffer(padded, dtype=np.uint8)
-    # every byte outside "!".."~": the spaces, the line ends and any other
-    sep = np.flatnonzero(np.subtract(buf[:size + 1], 33, dtype=np.uint8) > 93)
-    kind = buf[sep]
+    sep = np.flatnonzero(buf[:size + (data[-1] != 10)] <= 32)
+    kind = buf[sep]                      # 32 or 10 in a block numpy reads
     eol = np.flatnonzero(kind == 10)     # the sep index of each line's end
-    first = np.concatenate(([0], eol[:-1] + 1))   # ... and of its first
     ends = sep[eol]                      # line i is buf[starts[i]:ends[i]]
     starts = np.concatenate(([0], ends[:-1] + 1))
-    # a line's words are nonempty and split by single spaces unless it
-    # holds a separator other than a space or its end, or two adjacent
-    # separators one of which is a space
-    space = kind == 32
-    odd = ~space & (kind != 10)
-    odd[1:] |= (sep[1:] - sep[:-1] == 1) & (space[1:] | space[:-1])
-    plain = np.ones(len(ends), dtype=bool)
-    plain[np.searchsorted(eol, np.flatnonzero(odd))] = False
+    first = np.concatenate(([0], eol[:-1] + 1))  # ... its first sep index
     spaces = eol - first
-    u = np.flatnonzero(plain & (spaces == 5) & (buf[starts] == ord("U"))
-                       & (buf[starts + 1] == 32))
-    cx = np.flatnonzero(plain & (spaces == 2) & (buf[starts] == ord("C"))
-                        & (buf[starts + 1] == ord("X"))
-                        & (buf[starts + 2] == 32))
-    # the end of the second word: a U line's qubit, a CNOT's control
-    u_mid, cx_mid = sep[first[u] + 1], sep[first[cx] + 1]
-    nu, ncx = len(u), len(cx)
+    head = buf[starts]
+    comment = head == ord("#")
+    cx = ((head == ord("C")) & (buf[starts + 1] == ord("X"))
+          & (buf[starts + 2] == 32) & (spaces == 2))
+    u = (head == ord("U")) & (buf[starts + 1] == 32) & (spaces == 5)
+    # two adjacent separators leave an empty word, which only a comment
+    # may hold
+    gap = np.flatnonzero(sep[1:] - sep[:-1] == 1)
+    if (((kind != 32) & (kind != 10)).any() or not (comment | cx | u).all()
+            or not comment[np.searchsorted(eol, gap)].all()):
+        return reader.gates(block)
+    g = np.flatnonzero(~comment)         # the gate lines
+    is_cx, end = cx[g], ends[g]
+    is_u = ~is_cx
+    mid = sep[first[g] + 1]              # the end of a line's second word
     value, digits = _digits(
-        buf, np.concatenate([starts[u] + 2, starts[cx] + 3, cx_mid + 1]),
-        np.concatenate([u_mid, cx_mid, ends[cx]]))
-    target, control, cx_target = (value[:nu], value[nu:nu + ncx],
-                                  value[nu + ncx:])
-    keep = digits[:nu] & (ends[u] - u_mid <= _PARAM_WIDTH + 1)
-    u, target, u_mid = u[keep], target[keep], u_mid[keep]
-    keep = (digits[nu:nu + ncx] & digits[nu + ncx:]
-            & (control != cx_target))
-    cx, control, cx_target = cx[keep], control[keep], cx_target[keep]
+        buf, np.concatenate([starts[g] + 2 + is_cx, mid[is_cx] + 1]),
+        np.concatenate([mid, end[is_cx]]))
+    q0, q1 = value[:len(g)], value[len(g):]
+    p_start, p_end = mid[is_u] + 1, end[is_u]
+    p_size = p_end - p_start
+    if not (digits.all() and (q0[is_cx] != q1).all()
+            and (p_size <= _PARAM_WIDTH).all()):
+        return reader.gates(block)
     # each parameter text as uint64 words, zeroed past its end, sorted
     # stably, so the first line of each distinct text opens its group
-    p_start = u_mid + 1
-    p_size = ends[u] - p_start
     words = -(-int(p_size.max(initial=1)) // 8)
     windows = np.ndarray((size + 1, 8 * words), np.uint8, padded,
                          strides=(1, 1))
@@ -643,35 +650,14 @@ def _read_block(reader: _LineReader, data: bytes) -> np.ndarray:
     opens[1:] = (key[1:] != key[:-1]).any(axis=1)
     text_id = np.empty(len(order), dtype=np.int64)
     text_id[order] = np.cumsum(opens) - 1
-    firsts = order[opens]
-    texts = [data[s:e].decode() for s, e in zip(p_start[firsts].tolist(),
-                                                ends[u[firsts]].tolist())]
-    bulk = np.zeros(len(ends), dtype=bool)
-    bulk[u] = True
-    bulk[cx] = True
-    # the other lines, and the first line of each parameter text not read
-    # before, in text order
-    todo = sorted([*((i, None) for i in np.flatnonzero(~bulk).tolist()),
-                   *((i, t) for i, t in zip(u[firsts].tolist(), texts)
-                     if t not in reader.row_of)])
-    count = bulk.astype(np.int64)   # gates per line
-    read = {}
-    for i, spelled in todo:
-        if spelled is None:
-            read[i] = reader.gates(
-                data[starts[i]:ends[i]].decode("utf-8", "surrogatepass"))
-            count[i] = len(read[i])
-        else:
-            reader.row(spelled)
-    rows = np.array([reader.row_of[t] for t in texts], dtype=np.int64)
-    at = np.cumsum(count) - count   # each line's first gate
-    cols = np.full((4, int(count.sum())), -1, dtype=np.int64)
-    pu, pc = at[u], at[cx]
-    cols[0, pu], cols[1, pu], cols[3, pu] = _U, target, rows[text_id]
-    cols[0, pc], cols[1, pc], cols[2, pc] = _CX, control, cx_target
-    for i, gates in read.items():
-        if gates:
-            cols[:, at[i]:at[i] + len(gates)] = np.array(gates).T
+    firsts = np.sort(order[opens])       # each text's first line
+    rows = np.empty(len(firsts), dtype=np.int64)
+    # the block is ASCII, so its byte offsets index block too
+    rows[text_id[firsts]] = [reader.row(block[s:e]) for s, e in zip(
+        p_start[firsts].tolist(), p_end[firsts].tolist())]
+    cols = np.full((4, len(g)), -1, dtype=np.int64)
+    cols[0], cols[1] = is_cx, q0         # the op: _U is 0, _CX is 1
+    cols[2, is_cx], cols[3, is_u] = q1, rows[text_id]
     return cols
 
 
@@ -679,20 +665,21 @@ def loads(text: str) -> Circuit:
     """Parse the text format. Raises ValueError on a malformed line: a
     wrong operand count, a qubit outside [0, QUBITS) (or past int64), a
     non-finite U parameter, or a QUBITS header that is missing, repeated
-    or not a positive int64. The text is read in blocks of about
-    _TEXT_BLOCK characters. numpy reads a block's lines in dumps'
-    spelling at once (_read_block), parsing each distinct parameter text
-    once; every other line is read one by one, in text order, with the
-    same checks (_LineReader), so any error is the one a line-by-line
-    reading raises first."""
+    or not a positive int64. The first line (dumps' QUBITS header) is read
+    by _LineReader, and the rest in blocks of about _TEXT_BLOCK
+    characters, each through one lane: numpy reads a block wholly in
+    dumps' spelling, with # comments (_read_block), and _LineReader any
+    other block, line by line with the same checks. Blocks are read in
+    text order, so any error is the one a line-by-line reading raises
+    first."""
     reader = _LineReader()
-    chunks = [_read_block(reader, block.encode("utf-8", "surrogatepass"))
-              for block in _text_blocks(text)]
+    head = text.find("\n") + 1 or len(text)
+    chunks = [reader.gates(text[:head])]
+    chunks += [_read_block(reader, b) for b in _text_blocks(text, head)]
     if reader.num_qubits is None:
         raise ValueError("missing QUBITS header")
     num_qubits = reader.num_qubits
-    cols = (np.concatenate(chunks, axis=1) if chunks
-            else np.empty((4, 0), dtype=np.int64))
+    cols = np.concatenate(chunks, axis=1)
     qubits = np.concatenate([cols[1], cols[2, cols[0] == _CX]])
     if len(qubits) and (qubits.min() < 0 or qubits.max() >= num_qubits):
         raise ValueError(f"gate qubit outside [0, {num_qubits})")

@@ -23,7 +23,7 @@ from .circuit import (ConnectivityGraph, asap_layering, dumps, loads,
                       validate_connectivity)
 from .lightcone import audit_lower_bound
 from .synth import _prepare_symmetric, _synthesize
-from .verify import SIMULATOR_CAP, dicke_fidelities
+from .verify import dicke_fidelities
 
 
 class _UsageError(Exception):
@@ -126,53 +126,36 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _read_circuit(path):
+    """The circuit in the text file at path; a usage error if the file
+    cannot be opened or parsed."""
     try:
-        with open(args.circuit) as fh:
-            circuit = loads(fh.read())
+        with open(path) as fh:
+            return loads(fh.read())
     except (OSError, ValueError) as e:
         raise _UsageError(f"cannot read circuit: {e}") from e
+
+
+def cmd_verify(args) -> int:
+    circuit = _read_circuit(args.circuit)
     n, k = args.n, args.k
     if circuit.num_qubits != n:
         raise _UsageError(f"circuit has {circuit.num_qubits} qubits, --n {n}")
     if not 0 <= k <= n:
         raise _UsageError(f"require 0 <= k <= n (n={n}, k={k})")
-    ells = range(k + 1) if args.all_ell else [k]
-    if n > SIMULATOR_CAP:
-        _check_support(n, k, ells)
     # NaN fails the comparison too
     if not 0.0 <= args.tol < 1.0:
         raise _UsageError(f"--tol must be in [0, 1), got {args.tol}")
+    ells = range(k + 1) if args.all_ell else [k]
     ok = True
     try:
         for ell, f in dicke_fidelities(circuit, ells):
             good = f >= 1.0 - args.tol
             ok &= good
             print(f"ell={ell} fidelity={f:.12f} {'ok' if good else 'FAIL'}")
-    except ValueError as e:   # the sweep's support passed its limit
+    except ValueError as e:   # a support or the tag past its limit
         raise _UsageError(str(e)) from e
     return 0 if ok else 3
-
-
-# the largest Dicke support verify takes above SIMULATOR_CAP qubits: the
-# half-weight support at the cap
-_SUPPORT_CAP = math.comb(SIMULATOR_CAP, SIMULATOR_CAP // 2)
-
-
-def _check_support(n, k, ells):
-    """Refuse a verify above SIMULATOR_CAP qubits that the sparse kernel
-    cannot hold: each requested weight's Dicke support must be within
-    _SUPPORT_CAP, and the weight tag must fit beside n qubits in an int64
-    index."""
-    worst = max(ells, key=lambda ell: math.comb(n, ell))
-    if math.comb(n, worst) > _SUPPORT_CAP:
-        raise _UsageError(
-            f"C({n}, {worst}) = {math.comb(n, worst)} exceeds the support "
-            f"limit C({SIMULATOR_CAP}, {SIMULATOR_CAP // 2}) = {_SUPPORT_CAP} "
-            f"above {SIMULATOR_CAP} qubits")
-    if n + k.bit_length() > 62:
-        raise _UsageError(f"n={n} and k={k} leave no room for the weight "
-                          f"tag: n + bit length of k must be at most 62")
 
 
 def _parse_range(text):
@@ -258,11 +241,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_lightcone(args) -> int:
-    try:
-        with open(args.circuit) as fh:
-            circuit = loads(fh.read())
-    except (OSError, ValueError) as e:
-        raise _UsageError(f"cannot read circuit: {e}") from e
+    circuit = _read_circuit(args.circuit)
     topology, dims = _parse_topology(args.topology)
     n = circuit.num_qubits
     if dims is not None and dims[0] * dims[1] != n:

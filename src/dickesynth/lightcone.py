@@ -102,11 +102,17 @@ def build_lightcone(c: Circuit) -> LightConeGraph:
     latest_first = np.argsort(-layer[cx], kind="stable")
     cnots = np.stack([layer[cx], q0[cx], q1[cx]])[:, latest_first]
     # a merged single-qubit layer may act on a qubit more than once; the
-    # keys span the qubits the gates touch, as asap_layering's frontier
-    # does, not the header's count
+    # keys span the qubits the gates touch, not the header's count
     width = int(q0.max(initial=0)) + 1
+    if width <= len(q0):
+        labels = np.arange(width)
+    else:
+        # labels far apart (as under a huge QUBITS header): key their ranks
+        labels = _distinct(q0)
+        q0, width = np.searchsorted(labels, q0), len(labels)
     u_keys = _distinct(layer[~cx] * width + q0[~cx])
-    touched = np.concatenate([np.stack([u_keys // width, u_keys % width]),
+    touched = np.concatenate([np.stack([u_keys // width,
+                                        labels[u_keys % width]]),
                               cnots[[0, 1]], cnots[[0, 2]]], axis=1)
     return LightConeGraph(
         num_qubits=c.num_qubits,
@@ -125,15 +131,24 @@ def reachable(g: LightConeGraph, origin: int) -> ReachableSets:
     L_i from column i+1 to column i, a CNOT with one endpoint in the cone
     pulls the other in at column i. The CNOTs of a layer share no qubit,
     so one pass over them, latest layer first, walks the whole cone.
-    joined spans the origin and the qubits the gates touch, not the
-    header's count."""
+    joined has at most one entry more than there are touched pairs,
+    whatever the header's count or the largest label."""
     if not 0 <= origin < g.num_qubits:
         raise ValueError("origin out of range")
     d = g.depth
-    joined = [0] * (max(int(g.touched[1].max(initial=0)), origin) + 1)
-    joined[origin] = d + 1
-    for start in range(0, g.cnots.shape[1], _BLOCK):
-        for i, a, b in zip(*g.cnots[:, start:start + _BLOCK].tolist()):
+    layer, q = g.touched
+    cnots, top = g.cnots, max(int(q.max(initial=0)), origin)
+    if top <= q.size:
+        labels = np.arange(top + 1)
+    else:
+        # labels far apart (as under a huge QUBITS header): walk their ranks
+        labels = _distinct(np.append(q, origin))
+        cnots = np.vstack([cnots[0], np.searchsorted(labels, cnots[1:])])
+        q = np.searchsorted(labels, q)
+    joined = [0] * len(labels)
+    joined[int(np.searchsorted(labels, origin))] = d + 1
+    for start in range(0, cnots.shape[1], _BLOCK):
+        for i, a, b in zip(*cnots[:, start:start + _BLOCK].tolist()):
             if joined[a]:
                 if not joined[b]:
                     joined[b] = i
@@ -142,12 +157,12 @@ def reachable(g: LightConeGraph, origin: int) -> ReachableSets:
     joined = np.array(joined, dtype=np.int64)
     # column c's cone: the qubits with joined >= c
     cone_sizes = np.cumsum(np.bincount(joined, minlength=d + 2)[::-1])[::-1]
-    layer, q = g.touched
     sizes = np.bincount(layer[joined[q] >= layer], minlength=d + 1)
     return ReachableSets(origin=origin,
                          sizes=tuple(sizes[1:].tolist()) + (1,),
                          cone_sizes=tuple(cone_sizes[1:].tolist()),
-                         first_cone=frozenset(np.flatnonzero(joined).tolist()))
+                         first_cone=frozenset(
+                             labels[np.flatnonzero(joined)].tolist()))
 
 
 @dataclass

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 SIMULATOR_CAP = 20  # 2^20 amplitudes; keeps exhaustive checks fast
+# the largest Dicke support dicke_fidelities takes: the half-weight
+# support at SIMULATOR_CAP qubits, so it refuses nothing at the cap or below
+_SUPPORT_CAP = math.comb(SIMULATOR_CAP, SIMULATOR_CAP // 2)
 
 
 def _basis_index(num_qubits: int, bits: str | int) -> int:
@@ -108,25 +111,32 @@ def dicke_fidelities(c: Circuit, ells):
     output support is no larger than one half-weight Dicke state's. Each
     weight's output must be normalized (RuntimeError otherwise), and its
     fidelity |sum of its amplitudes on weight-ell indices|^2 / C(n, ell) is
-    taken on the support, so no 2^n vector is built. A sweep stops with
-    ValueError once its support would pass len(batch) * 2^SIMULATOR_CAP
-    amplitudes: each weight's support on SIMULATOR_CAP qubits or fewer
-    stays within 2^SIMULATOR_CAP, so only a larger circuit meets the
-    limit, and it cannot exhaust memory."""
+    taken on the support, so no 2^n vector is built. Before the first
+    sweep, ValueError refuses a weight whose C(n, ell) passes
+    _SUPPORT_CAP, and an n that leaves no room for the tag. A sweep stops
+    with ValueError once its support would pass len(batch) *
+    2^SIMULATOR_CAP amplitudes: each weight's support on SIMULATOR_CAP
+    qubits or fewer stays within 2^SIMULATOR_CAP, so only a larger
+    circuit meets either limit, and it cannot exhaust memory."""
     n = c.num_qubits
     ells = [int(ell) for ell in ells]
     if not all(0 <= ell <= n for ell in ells) or len(set(ells)) < len(ells):
         raise ValueError("weights must be distinct and in [0, n]")
-    if ells and n + max(ells).bit_length() > 62:
-        raise ValueError(f"{n} qubits leave no room for the weight tag")
     budget = math.comb(n, n // 2)
     batches, size = [], budget
     for ell in ells:
-        size += math.comb(n, ell)
+        support = math.comb(n, ell)
+        if support > _SUPPORT_CAP:
+            raise ValueError(
+                f"C({n}, {ell}) = {support} exceeds the support limit "
+                f"C({SIMULATOR_CAP}, {SIMULATOR_CAP // 2}) = {_SUPPORT_CAP}")
+        size += support
         if size > budget:
             batches.append([])
-            size = math.comb(n, ell)
+            size = support
         batches[-1].append(ell)
+    if ells and n + max(ells).bit_length() > 62:
+        raise ValueError(f"{n} qubits leave no room for the weight tag")
     for batch in batches:
         tags = np.array(batch, dtype=np.int64)
         idx, amp = _evolve(c, ((1 << tags) - 1) | (tags << n),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dickesynth import circuit
+from dickesynth import circuit, cli
 from dickesynth.circuit import (Circuit, ConnectivityGraph, Gate,
                                 asap_layering, compose, dumps, gate_matrix,
                                 grid_index, inverse, loads, remap_qubits,
@@ -608,6 +608,34 @@ def test_loads_matches_reference_on_pinned_texts(case):
     assert dumps(got) == text
 
 
+def _assert_numpy_reads(monkeypatch, text):
+    """loads(text), checking that the line reader read only its first
+    line: numpy read every block after it."""
+    read, gates = [], circuit._LineReader.gates
+
+    def spy(reader, segment):
+        read.append(segment)
+        return gates(reader, segment)
+
+    monkeypatch.setattr(circuit._LineReader, "gates", spy)
+    loads(text)
+    assert read == [text[:text.index("\n") + 1]]
+
+
+@pytest.mark.parametrize("case", list(PINNED_BUILDERS))
+def test_loads_reads_pinned_texts_with_numpy(monkeypatch, case):
+    _assert_numpy_reads(monkeypatch, dumps(PINNED_BUILDERS[case]()))
+
+
+def test_loads_reads_synth_stdout_with_numpy(monkeypatch, capsys):
+    # stdout ends in the plan report as # comments with doubled spaces
+    assert cli.main(["synth", "--topology", "complete", "--n", "1024",
+                     "--k", "8"]) == 0
+    text = capsys.readouterr().out
+    assert "\n# " in text and len(list(circuit._text_blocks(text))) > 2
+    _assert_numpy_reads(monkeypatch, text)
+
+
 def _qubit_edit(respell):
     """An edit that respells the qubit of a U line."""
     def edit(lines, i):
@@ -692,6 +720,11 @@ LOADS_EDITS = {
     "repeated header": _line_edit(lambda s: [s, "QUBITS 256"]),
     "nul byte": _line_edit(lambda s: [s.replace(" ", "\0", 1)]),
     "lone surrogate": _line_edit(lambda s: [s + " \udc80"]),
+    "odd comment": _line_edit(lambda s: ["#  plan  é", s]),
+    "cr for a space": _line_edit(lambda s: ["\r".join(s.rsplit(" ", 1))]),
+    # the operand count of a gate line, but one operand empty
+    "empty word": _line_edit(lambda s: [s.rsplit(" ", 1)[0].replace(
+        " ", "  ", 1)]),
 }
 
 

@@ -462,7 +462,8 @@ def test_malformed_circuit_is_usage_error(tmp_path, text, command):
 @pytest.mark.parametrize("count,gates,depth,floor", [
     (1 << 62, ["CX 0 1"], 1, 61),
     (1 << 62, ["CX 0 1", "U 1 0.5 0 0 0", "CX 1 0", "U 0 0.5 0 0 0"], 4, 61),
-    (10 ** 12, ["CX 0 1"], 1, 39)])
+    (10 ** 12, ["CX 0 1"], 1, 39),
+    (1 << 62, ["CX 0 4611686018427387903", "CX 1 0"], 2, 61)])
 def test_lightcone_sizes_by_the_touched_qubits(tmp_path, capsys, count,
                                                gates, depth, floor):
     # a header far larger than memory: the audit's arrays span the qubits
@@ -476,6 +477,24 @@ def test_lightcone_sizes_by_the_touched_qubits(tmp_path, capsys, count,
                            f"depth raw={depth} normalized={depth} "
                            f"floor={floor} -> BELOW FLOOR\n")
     assert "cones intersect" in text and text.endswith("audit FAIL\n")
+
+
+def test_lightcone_sizes_by_the_gates_not_the_largest_label(tmp_path,
+                                                           capsys):
+    # the layering frontier and the cone walk rank the labels, so a label
+    # near the header's count costs no more than a small one
+    f = tmp_path / "far.qc"
+    f.write_text("QUBITS 4611686018427387904\nCX 0 4611686018427387903\n")
+    assert run(["lightcone", "--circuit", str(f), "--topology",
+                "complete"]) == 3
+    assert capsys.readouterr().out == (
+        "light-cone audit: topology=complete n=4611686018427387904\n"
+        "depth raw=1 normalized=1 floor=61 -> BELOW FLOOR\n"
+        "extremal origins 1 and 0: cones DISJOINT\n"
+        "cone growth caps: ok\n"
+        "origin 1 |S'_i| per column: 0 1\n"
+        "origin 0 |S'_i| per column: 2 1\n"
+        "audit FAIL\n")
 
 
 def test_lightcone_topology_size_mismatch(tmp_path):

@@ -7,7 +7,7 @@ from itertools import accumulate
 import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
-                                grid_index)
+                                grid_index, remap_qubits)
 from dickesynth.lightcone import (AuditReport, _shape_bounds,
                                   audit_lower_bound, build_lightcone,
                                   reachable)
@@ -86,6 +86,37 @@ def test_audit_arrays_span_the_touched_qubits_not_the_header():
     # an origin past the touched qubits keeps its one-qubit cone
     r = reachable(h, 5)
     assert r.first_cone == {5} and r.sizes == (0,) * h.depth + (1,)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_far_apart_labels_audit_as_their_ranks(seed):
+    # labels up to 2^62 - 1 are walked by rank: layering, graph and cones
+    # read as they do on the same gates over qubits 0..n-1
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    small = Circuit(n)
+    for _ in range(rng.randint(1, 60)):
+        if rng.random() < 0.5:
+            small.cx(*rng.sample(range(n), 2))
+        else:
+            small.u(rng.randrange(n), rng.random())
+    labels = sorted(rng.sample(range(1 << 62), n))
+    huge = remap_qubits(small, labels, 1 << 62)
+    assert (asap_layering(huge).levels == asap_layering(small).levels).all()
+    g, h = build_lightcone(small), build_lightcone(huge)
+    assert h.kinds == g.kinds
+    assert sorted(zip(*h.touched.tolist())) == sorted(
+        (i, labels[q]) for i, q in zip(*g.touched.tolist()))
+    for origin in range(n):
+        r, s = reachable(g, origin), reachable(h, labels[origin])
+        assert (s.origin, s.sizes, s.cone_sizes) == (
+            labels[origin], r.sizes, r.cone_sizes)
+        assert s.first_cone == {labels[q] for q in r.first_cone}
+    # an untouched origin near the top keeps its one-qubit cone
+    spare = max(set(range((1 << 62) - n - 1, 1 << 62)) - set(labels))
+    r = reachable(h, spare)
+    assert r.origin == spare and r.first_cone == {spare}
+    assert r.sizes == (0,) * h.depth + (1,)
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (16, 2), (12, 3)])

@@ -86,9 +86,14 @@ def test_dicke_fidelities_refuses_bad_weights():
             list(dicke_fidelities(c, ells))
     # n + bit_length(ell) must stay <= 62, so the tag fits in int64
     with pytest.raises(ValueError, match="tag"):
-        list(dicke_fidelities(Circuit(60), [4]))
-    assert list(dicke_fidelities(Circuit(59), [4])) == [
-        (4, 1 / math.comb(59, 4))]
+        list(dicke_fidelities(Circuit(62), [1]))
+    assert list(dicke_fidelities(Circuit(61), [1])) == [(1, 1 / 61)]
+    # every C(n, ell) must stay <= C(20, 10), checked before the tag
+    for n in (59, 60):
+        with pytest.raises(ValueError, match=(
+                rf"C\({n}, 4\) = {math.comb(n, 4)} exceeds the support "
+                r"limit C\(20, 10\) = 184756")):
+            list(dicke_fidelities(Circuit(n), [4]))
 
 
 def test_simulate_starts_a_basis_input_from_one_index(monkeypatch):
