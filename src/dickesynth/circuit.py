@@ -596,9 +596,10 @@ def _read_block(reader: _LineReader, block: str) -> np.ndarray:
     comments or gate lines in dumps' spelling: U q theta phi lam gamma or
     CX c t, single spaces, qubits of 1 to 18 digits, a parameter text of
     at most _PARAM_WIDTH characters and a CNOT's control not its target.
-    Only a parameter text can then be at fault: each distinct one goes to
-    reader.row once, in order of first appearance, so the first fault
-    raises first. reader.gates reads any other block."""
+    Only a parameter text can then be at fault: each distinct one that no
+    earlier block held goes to reader.row once, in order of first
+    appearance, so the first fault raises first. reader.gates reads any
+    other block."""
     if not block.isascii() or "\x7f" in block:
         return reader.gates(block)
     data = block.encode()
@@ -652,9 +653,13 @@ def _read_block(reader: _LineReader, block: str) -> np.ndarray:
     text_id[order] = np.cumsum(opens) - 1
     firsts = np.sort(order[opens])       # each text's first line
     rows = np.empty(len(firsts), dtype=np.int64)
-    # the block is ASCII, so its byte offsets index block too
-    rows[text_id[firsts]] = [reader.row(block[s:e]) for s, e in zip(
-        p_start[firsts].tolist(), p_end[firsts].tolist())]
+    # the block is ASCII, so its byte offsets index block too; a text an
+    # earlier block parsed is looked up, not parsed again
+    known = reader.row_of
+    texts = [block[s:e] for s, e in zip(p_start[firsts].tolist(),
+                                        p_end[firsts].tolist())]
+    rows[text_id[firsts]] = [known[t] if t in known else reader.row(t)
+                             for t in texts]
     cols = np.full((4, len(g)), -1, dtype=np.int64)
     cols[0], cols[1] = is_cx, q0         # the op: _U is 0, _CX is 1
     cols[2, is_cx], cols[3, is_u] = q1, rows[text_id]

@@ -245,9 +245,9 @@ def audit_lower_bound(c: Circuit, topology: ConnectivityGraph) -> AuditReport:
     origins, cap, floor = _shape_bounds(topology)
     reach = {origin: reachable(g, origin) for origin in origins}
     # sizes[i] sits d - i layers back from column d+1
-    growth_ok = all(size <= cap[min(d - i, len(cap) - 1)]
-                    for r in reach.values()
-                    for i, size in enumerate(r.sizes))
+    sizes = np.array([r.sizes for r in reach.values()])
+    limit = np.array(cap)[np.minimum(d - np.arange(d + 1), len(cap) - 1)]
+    growth_ok = bool((sizes <= limit).all())
     cones_intersect = bool(reach[origins[0]].first_cone
                            & reach[origins[1]].first_cone)
     depth_ok = g.depth >= floor

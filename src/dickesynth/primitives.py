@@ -1,5 +1,5 @@
-"""Reusable sub-circuits: the 6-CNOT Toffoli, the doubling fanout copy,
-and the steps of the gray-code uniformly controlled Ry.
+"""Reusable sub-circuits: the 3-CNOT relative-phase Toffoli, the doubling
+fanout copy, and the steps of the gray-code uniformly controlled Ry.
 """
 
 from __future__ import annotations
@@ -9,41 +9,28 @@ import math
 from .circuit import Circuit
 
 __all__ = [
-    "build_ccx",
+    "build_rccx",
     "fanout_copy",
 ]
-
-_T = math.pi / 4  # T-gate phase
-
-
-def _t(c: Circuit, q: int, sign: float) -> None:
-    # phase-exact T / T-dagger = diag(1, e^{+-i pi/4}); using the plain Rz
-    # version instead would leave every Toffoli with a global phase of
-    # -pi/8, which accumulates state-dependently in controlled contexts.
-    c.phase(q, sign * _T)
 
 
 def _h(c: Circuit, q: int) -> None:
     c.u(q, math.pi / 2.0, 0.0, math.pi, 0.0)
 
 
-def build_ccx(c: Circuit, a: int, b: int, t: int) -> None:
-    """Standard 6-CNOT + 1-qubit Toffoli with controls a, b and target t."""
-    _h(c, t)
+def build_rccx(c: Circuit, a: int, b: int, t: int) -> None:
+    """Relative-phase Toffoli with controls a, b and target t: 3 CNOTs and
+    4 Ry, depth 7 (Barenco et al., PRA 52, 3457 (1995); Maslov, PRA 93,
+    022311 (2016)). It equals CCX except for a -1 on |a=1, b=0, t=1>, so it
+    stands in for CCX wherever t holds 1 only when both controls do."""
+    theta = math.pi / 4
+    c.ry(t, theta)
     c.cx(b, t)
-    _t(c, t, -1.0)
+    c.ry(t, theta)
     c.cx(a, t)
-    _t(c, t, +1.0)
+    c.ry(t, -theta)
     c.cx(b, t)
-    _t(c, t, -1.0)
-    c.cx(a, t)
-    _t(c, b, +1.0)
-    _t(c, t, +1.0)
-    c.cx(a, b)
-    _h(c, t)
-    _t(c, a, +1.0)
-    _t(c, b, -1.0)
-    c.cx(a, b)
+    c.ry(t, -theta)
 
 
 def fanout_copy(src, dst_blocks) -> Circuit:

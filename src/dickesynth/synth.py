@@ -32,7 +32,7 @@ import numpy as np
 from .circuit import (Circuit, ConnectivityGraph, asap_layering, compose,
                       grid_index, inverse, remap_qubits)
 from .encoding import u_uo
-from .primitives import build_ccx, fanout_copy
+from .primitives import build_rccx, fanout_copy
 from .unary import (DivideSpec, _givens_run, dicke_unitary_path,
                     divide_unitary_path, hyper_weights, unary_amplitude_prep)
 
@@ -180,7 +180,11 @@ def _fold_into(c: Circuit, regs: list, target: list) -> None:
 def _pack_rows(k: int, anc: list, s1: list, s2: list) -> list:
     """Slot allocation of divide_unitary_ancilla: batches of rows (l, its
     l-1 middle slots, the S1 and S2 its erase Toffolis read) in increasing
-    l. The last row of a batch reads s1 and s2 themselves.
+    l. The last row of a batch reads s1 and s2 themselves; every other row
+    reads its own fanout copies of them, so the batch's erase Toffolis all
+    run at once. A copy holds what the fold left in s1 or s2, which is
+    what the relative-phase erase needs: its middle slot a holds 1 only
+    when both qubits it reads do.
     Each batch takes every row's middle slots, then the copies, from a
     cursor that wraps around the pool."""
     pool = itertools.cycle(anc)
@@ -215,6 +219,13 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla,
     middle slot a is XOR-folded into s1[a-1] and s2[l-a-1], then erased by
     a Toffoli on those two qubits (or copies of them), since the pair
     (a, l-a) names the row.
+
+    The erase is build_rccx, the relative-phase Toffoli: it equals CCX
+    except for a -1 on |s1=1, s2=0, slot=1>, so it is exact as long as
+    that state is never reached, and it never is: slot a of row l holds 1
+    only in the branch where the count is l and the one landed in slot a,
+    and in that branch the fold has set both s1[a-1] and s2[l-a-1] (and
+    the fanout their copies). In every other branch the slot holds 0.
 
     Rows run in increasing l, so a row's block is all-zero when its tree
     runs unless that row holds the count; Givens rotations keep Hamming
@@ -261,7 +272,7 @@ def divide_unitary_ancilla(spec: DivideSpec, ancilla,
         c.extend(fan)
         for ell, mid, c1, c2 in rows:
             for a in range(1, ell):
-                build_ccx(c, c1[a - 1], c2[ell - a - 1], mid[a - 1])
+                build_rccx(c, c1[a - 1], c2[ell - a - 1], mid[a - 1])
         c.extend(inverse(fan))   # CNOTs only: the gates in reverse
     return c
 

@@ -636,6 +636,22 @@ def test_loads_reads_synth_stdout_with_numpy(monkeypatch, capsys):
     _assert_numpy_reads(monkeypatch, text)
 
 
+def test_loads_parses_each_parameter_text_once(monkeypatch):
+    # (1024,8) repeats most of its parameter texts across blocks: a text an
+    # earlier block parsed is looked up, not handed to reader.row again
+    text = dumps(synth_alltoall(1024, 8)[0])
+    assert len(list(circuit._text_blocks(text))) > 2
+    parsed, row = [], circuit._LineReader.row
+
+    def spy(reader, spelled):
+        parsed.append(spelled)
+        return row(reader, spelled)
+
+    monkeypatch.setattr(circuit._LineReader, "row", spy)
+    got = loads(text)
+    assert len(parsed) == len(set(parsed)) == len(got.param_rows)
+
+
 def _qubit_edit(respell):
     """An edit that respells the qubit of a U line."""
     def edit(lines, i):

@@ -270,6 +270,30 @@ def test_audit_flags_broken_growth_cap():
     assert "cone growth caps: VIOLATED" in report.text()
 
 
+def test_audit_growth_check_matches_loop():
+    # the audit compares every column of both cones with its cap in one
+    # array operation; this loop over the columns is the reference, run
+    # on random CNOT circuits, some of which break the path's caps
+    seen = set()
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        c = Circuit(n)
+        for _ in range(8):
+            c.cx(*rng.sample(range(n), 2))
+        for topology in (ConnectivityGraph.complete(n),
+                         ConnectivityGraph.path(n)):
+            report = audit_lower_bound(c, topology)
+            _, cap, _ = _shape_bounds(topology)
+            d = report.normalized_depth
+            want = all(size <= cap[min(d - i, len(cap) - 1)]
+                       for sizes in report.cone_sizes.values()
+                       for i, size in enumerate(sizes))
+            assert report.growth_ok is want, (seed, topology.topology_tag)
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def _bfs(adj, start):
     dist = [-1] * len(adj)
     dist[start] = 0
@@ -339,7 +363,7 @@ def _hadamards(n):
 # byte for byte
 AUDIT_DIGESTS = [
     (lambda: prepare_dicke("complete", 64, 4), ConnectivityGraph.complete(64),
-     "dd891170bdc01c0ad8c9ecd88f957351bb15591171c3448842938fd8c0f3c0c8"),
+     "325d6706b5b0f19a3913ed043cb1824a5dbca2296fdce8580fed85bcc9c149e2"),
     (lambda: prepare_dicke("complete", 2, 1), ConnectivityGraph.complete(2),
      "6d25656f00d9c1d1ff34323ecdebb06c015cea2bcc1537f8b7132f295c8e359e"),
     (lambda: Circuit(1), ConnectivityGraph.complete(1),

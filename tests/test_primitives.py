@@ -3,7 +3,7 @@ import pytest
 
 from dickesynth.circuit import (Circuit, ConnectivityGraph, asap_layering,
                                 grid_index)
-from dickesynth.primitives import _gray_steps, build_ccx, fanout_copy
+from dickesynth.primitives import _gray_steps, build_rccx, fanout_copy
 from dickesynth.verify import simulate
 
 
@@ -17,10 +17,17 @@ def peak(vec):
 
 
 def test_build_ccx_truth_table():
+    # the whole 8x8 matrix, controls a, b = qubits 0, 1 and target t = 2
+    # (bit q of an index is qubit q): CCX, but for a -1 on |a=1, b=0, t=1>
     c = Circuit(3)
-    build_ccx(c, 0, 1, 2)
+    build_rccx(c, 0, 1, 2)
+    want = np.zeros((8, 8))
     for x in range(8):
-        assert peak(simulate(c, x)) == (x ^ 0b100 if x & 0b11 == 0b11 else x)
+        want[x ^ 0b100 if x & 0b11 == 0b11 else x, x] = (
+            -1.0 if x == 0b101 else 1.0)
+    assert np.abs(_unitary(c) - want).max() < 1e-12
+    assert (c.size, asap_layering(c).depth) == (7, 7)
+    assert sum(g.kind == "cx" for g in c.gates) == 3
 
 
 # --- fanout copy -------------------------------------------------------------

@@ -16,7 +16,8 @@ from dickesynth.synth import (SynthesisPlan, _conveyor_depth, _ladder_slope,
                               synth_alltoall, synth_grid)
 from dickesynth.unary import (DivideSpec, dicke_unitary_path,
                               divide_unitary_path, hyper_weights)
-from dickesynth.verify import _evolve, dicke_reference, fidelity, simulate
+from dickesynth.verify import (_evolve, dicke_fidelities, dicke_reference,
+                               fidelity, simulate)
 
 
 def unary_index(ell, k):
@@ -168,6 +169,28 @@ def test_divide_ancilla_fault_in_one_row_is_caught():
         faulty = loads("\n".join([*lines[:at + 1], " ".join(words),
                                   *lines[at + 2:]]))
         assert _ancilla_divide_error(faulty, spec) > 1e-6, ell
+
+
+def test_divide_ancilla_erase_phase_is_seen(monkeypatch):
+    # the erase is a relative-phase Toffoli, exact only because its slot
+    # holds 1 just where both controls do; a Z on the slot before it puts
+    # -1 on that branch, and both the divide oracle and the Dicke check
+    # must see it
+    import dickesynth.synth as synth
+    spec, _ = _top_spec(60, 10)
+    assert _ancilla_divide_error(_top_divide(60, 10), spec) < 1e-12
+    assert min(f for _, f in dicke_fidelities(
+        synth_alltoall(16, 3)[0], range(4))) > 1 - 1e-10
+    real = synth.build_rccx
+
+    def phased(c, a, b, t):
+        c.phase(t, math.pi)
+        real(c, a, b, t)
+
+    monkeypatch.setattr(synth, "build_rccx", phased)
+    assert _ancilla_divide_error(_top_divide(60, 10), spec) > 0.1
+    assert min(f for _, f in dicke_fidelities(
+        synth_alltoall(16, 3)[0], range(4))) < 0.9
 
 
 def _top_spec(nn, k):
@@ -512,6 +535,20 @@ def test_ladder_slope_is_the_emitted_slope(k):
 
     for nn in sorted({k + 1, 2 * k, 64}):
         assert depth(nn + 1) - depth(nn) == _ladder_slope(k), nn
+
+
+def test_alltoall_no_deeper_than_ladder():
+    # every shape to n = 40: a divide is only worth its ancilla and its
+    # tails where it beats the one ladder, or ties it with fewer gates
+    for n in range(2, 41):
+        for k in range(1, n // 2 + 1):
+            c, _ = synth_alltoall(n, k)
+            ladder = dicke_unitary_path(n, k)
+            depth = asap_layering(c).depth
+            ladder_depth = asap_layering(ladder).depth
+            assert depth <= ladder_depth, (n, k)
+            if depth == ladder_depth:
+                assert c.size <= ladder.size, (n, k)
 
 
 def test_alltoall_ancilla_divides_above_floor():
@@ -903,16 +940,16 @@ def test_prepare_symmetric_rejects_non_finite(alpha):
 DUMPS_SHA256 = {
     "synth_alltoall(16,2)": (
         lambda: synth_alltoall(16, 2)[0],
-        "c0bd1cd6dc60ab7587a4840f11eb77989b5ffc4abb2d6bb71ba6d3f902a2fd7c"),
+        "94e40aae83552e9168ea2b325829ec60bf6669489d29e54eff9394ea6b2e5fb0"),
     "synth_alltoall(64,4)": (
         lambda: synth_alltoall(64, 4)[0],
-        "2c174a8802d590567bdda1973cd08421859bebf568854864a6c861f76340ea14"),
+        "7ee116f65882aff70e30bfb01f6873f38d4521e31feac2b925e37456b448d876"),
     "synth_alltoall(256,8)": (
         lambda: synth_alltoall(256, 8)[0],
-        "3aaefeda8c8277bc102006722a8cdba4ec152c81e088fa5dc52c44130d235f89"),
+        "bbac0bdc7953ed7f5855d09da30daaf4009ea8d59d9b9a4380009fffeb7257ec"),
     "synth_alltoall(128,16)": (
         lambda: synth_alltoall(128, 16)[0],
-        "ac0aa6621ccf4f8242583d7075fb23cc36b36867b93224732ba1707f6b6a083f"),
+        "fff437469b86b3bf28a16984cb724f3a5f456f3115e1a5c5c21dcef4be075145"),
     "synth_grid(4,4,2)": (
         lambda: synth_grid(4, 4, 2)[0],
         "b8edaf17a1d44823202c830a47570ff2c6ee0c4bc3a12467186e788b354dd2f2"),
@@ -939,7 +976,7 @@ DUMPS_SHA256 = {
         "ec3d67fd2da5b2148844567a5808cf680ea901b02543ab3a52b5c098dcd04835"),
     "prepare_symmetric(complete,8,3)": (
         lambda: prepare_symmetric("complete", 8, 3, [0.5] * 4),
-        "9e42b2c2d9d1bc27787917b16cb0b2a13b4c54d3614b4f13d81120b16ed22743"),
+        "d66914b130731ea53773c1761af17d03bd1467afd9591541b9447c640dc7792c"),
     "prepare_dicke(grid,(2,4),2)": (
         lambda: prepare_dicke("grid", (2, 4), 2),
         "0c08cfdee67392766e4424dc0897332cf16bf90182dbff49fd68ecb154bf5b70"),
@@ -956,13 +993,13 @@ def test_dumps_byte_identical(case):
 UNARY_DIVIDE_SHA256 = {
     "aa_spec(8,4,2)": (
         lambda: unary_divide(aa_spec(8, 4, 2), range(4, 12), num_qubits=12),
-        "b57c85d4542a96579e384c2b71e91a9c785c8eb761613faae2e91724c10bcf57"),
+        "f1740faf1625a88d00a75a0a93146c6c3c188a2caa4f2081d5b424511a8a3a69"),
     "_top_spec(60,10)": (
         lambda: _top_divide(60, 10),
-        "91c5ecc72e535b6e557f89f6f3244ef19418b804b89f18fa747c506adcbbe430"),
+        "e0a5df05f931d66fa6f6f7ec29c108c77687236a2cc344ec8a1b895681a4b2be"),
     "_top_spec(1024,8)": (
         lambda: _top_divide(1024, 8),
-        "b1d2fc1e40954b75f7b608bae60066d92db1cd8dac1379e70b010671526c4467"),
+        "75ad216878989db7874596a5a453170b22b12a1d225e7aafcc7afb683aa55277"),
 }
 
 
@@ -996,12 +1033,12 @@ def test_grid_plan_report_pinned(dims):
 
 # sha256 of plan.report() on the complete graph: a node's depth, size and
 # CNOT count are those of the one-hot divide placed there (the root of
-# (1024,8) reads depth=40 size=784 cx=422)
+# (1024,8) reads depth=35 size=560 cx=338)
 ALLTOALL_PLAN_REPORT_SHA256 = {
     (64, 2):
-        "6aa6218b35acc5a1ca8810003ede97ffa930caf16836094bc1303283c685c8d4",
+        "ab2cb81fe6b74a1108369a176afdac20207d829e325e59ed92bfc7102e7a4db8",
     (1024, 8):
-        "df95d0579538fd8b1e94f08265171d548da4c0533dd28f04bae1f4334515ef2e",
+        "2730c971595cac4fdf648161027a326f38f88b1aedbd4493baef362f0ffdc570",
 }
 
 
